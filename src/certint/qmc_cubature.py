@@ -7,19 +7,27 @@ the values (FFT over the shifted rank-1 lattice, fast Walsh-Hadamard
 transform over the digitally shifted Sobol' net), group the coefficient
 magnitudes into dyadic wavenumber blocks, and certify
 
-    bound_err = fudge(m) * S(m),
+    bound_err = max over l in [max(1, m - 4), m] of fudge(l) * S(l),
 
-where S(m) sums the top block.  The loop doubles m until ``bound_err``
-meets the generalized tolerance at the current estimate, the budget
-``mmax`` is hit (exit flag 1), or the observed block sums contradict the
-decay the fudge function encodes (exit flag 2: the integrand is outside
-the cone, so the bound is not trusted).
+where S(l) sums block l, the magnitudes at ranked positions
+[2^(l-1), 2^l).  The loop doubles m until ``bound_err`` meets the
+generalized tolerance at the current estimate, the budget ``mmax`` is hit
+(exit flag 1), or the observed block sums contradict the decay the fudge
+function encodes (exit flag 2: the integrand is outside the cone, so the
+bound is not trusted).
 
 The mapping from raw transform bins to wavenumber blocks is data-driven:
-within each dyadic pairing level the larger-magnitude coefficient of a
-pair is deemed the coarser wavenumber, mirroring the decay assumption.
-Only the block-sum bookkeeping depends on that ordering; the estimate
-itself is the plain average of the sampled values.
+the DC coefficient stays at position 0, and all other coefficient
+magnitudes are sorted globally, largest first, so a larger magnitude is
+deemed a coarser wavenumber, mirroring the decay assumption.  Only the
+block-sum bookkeeping depends on that ranking; the estimate itself is the
+plain average of the sampled values.
+
+Each doubling reuses the work of the previous level: the Sobol' refining
+block is the natural index range [2^m, 2^(m+1)) and its Walsh
+coefficients merge with the old ones by one butterfly; the lattice
+refining block is the odd indices at level m+1, merged by one radix-2 FFT
+step.
 """
 
 from __future__ import annotations
@@ -149,26 +157,24 @@ def measure_map(points: np.ndarray, box: Hyperbox):
 # Shared doubling engine
 # ---------------------------------------------------------------------------
 
-def _kappa_order(coeffs: np.ndarray, m: int) -> np.ndarray:
-    """Data-adaptive wavenumber ordering of transform bins.
+def _block_sums(coeffs: np.ndarray, m: int) -> np.ndarray:
+    """Dyadic block sums S(0), ..., S(m) of the ranked magnitudes.
 
-    Position 0 is pinned to the DC bin (the estimate itself); the other
-    bins are ranked by coefficient magnitude, largest first, so dyadic
-    position blocks play the role of coarse-to-fine wavenumber shells.
-    For an integrand whose spectrum decays, this reproduces the shell
-    structure regardless of how the generator scatters wavenumbers
-    across raw transform bins.  Ties break by bin index, keeping the
-    ordering deterministic.
+    Position 0 holds the DC magnitude |c[0]| (the estimate itself); the
+    other magnitudes are ranked largest first, so the dyadic position
+    blocks [2^(l-1), 2^l) play the role of coarse-to-fine wavenumber
+    shells.  For an integrand whose spectrum decays, this reproduces the
+    shell structure regardless of how the generator scatters wavenumbers
+    across raw transform bins.  Equal magnitudes are equal values, so
+    sorting the values gives the same blocks as any stable ranking.  They
+    are negated, sorted ascending and negated back in one contiguous
+    array: a sum over a reversed view would round differently.
     """
-    n = 1 << m
-    mags = np.abs(coeffs[1:])
-    # stable sort on (-magnitude, bin index)
-    ranked = 1 + np.argsort(-mags, kind="stable")
-    return np.concatenate(([0], ranked))
-
-
-def _block_sums(coeffs: np.ndarray, order: np.ndarray, m: int) -> np.ndarray:
-    mags = np.abs(coeffs[order])
+    mags = np.abs(coeffs)
+    tail = mags[1:]
+    np.negative(tail, out=tail)
+    tail.sort()
+    np.negative(tail, out=tail)
     sums = np.empty(m + 1)
     sums[0] = mags[0]
     for level in range(1, m + 1):
@@ -220,12 +226,8 @@ def _adaptive_cubature(unit_points, g, params: QmcParams, d: int,
     exitflag = 0
     history = []
     while True:
-        order = _kappa_order(coeffs, m)
-        sums = _block_sums(coeffs, order, m)
-        bound = max(
-            coeff_error_bound(np.abs(coeffs[order]), m, params.fudge),
-            _certified_bound(sums, m, params.fudge),
-        )
+        sums = _block_sums(coeffs, m)
+        bound = _certified_bound(sums, m, params.fudge)
         q = float(np.mean(yvals))
         history.append(bound)
         if cone_check(sums, params.fudge):
@@ -270,7 +272,8 @@ def _interleave(old: np.ndarray, new: np.ndarray) -> np.ndarray:
 def _walsh_coeffs(yvals: np.ndarray) -> np.ndarray:
     a = yvals.astype(float, copy=True)
     fwht_inplace(a)
-    return a / yvals.size
+    a /= yvals.size
+    return a
 
 
 def _merge_fft(coeffs: np.ndarray, ynew: np.ndarray) -> np.ndarray:
@@ -285,9 +288,15 @@ def _merge_fft(coeffs: np.ndarray, ynew: np.ndarray) -> np.ndarray:
 
 
 def _merge_fwht(coeffs: np.ndarray, ynew: np.ndarray) -> np.ndarray:
+    """Walsh coefficients at level m+1: 0.5 * (c + new, c - new), where
+    ``new`` holds the coefficients of the refining block of values."""
     n = coeffs.size
     new = _walsh_coeffs(ynew)
-    return 0.5 * np.concatenate([coeffs + new, coeffs - new])
+    out = np.empty(2 * n)
+    np.add(coeffs, new, out=out[:n])
+    np.subtract(coeffs, new, out=out[n:])
+    out *= 0.5
+    return out
 
 
 # ---------------------------------------------------------------------------

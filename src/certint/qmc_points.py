@@ -10,11 +10,14 @@ Two point families back the adaptive cubature:
   generating vector (odd integers, valid for up to 2^26 points and 250
   dimensions), optionally randomized by an additive mod-1 shift.
 
-Both expose natural-index point access (``points(start, stop)``) plus the
-sequence-order block API used by the doubling cubature loop: Sobol'
-blocks come in Gray-code order and lattice blocks in van der Corput
-(bit-reversal) order, so that doubling the sample extends rather than
-regenerates it.
+The doubling cubature loop asks for points in natural index order only:
+``SobolGenerator.points(start, stop)`` for the index range [2^m, 2^(m+1))
+and ``LatticeGenerator.points_at_level(m + 1, odd indices)``, so that
+doubling the sample extends rather than regenerates it.  Sobol' points
+are built by XOR doubling within aligned power-of-two runs, the
+natural-order form of the Antonov-Saleev recurrence.  The sequence-order
+``block``/``prefix`` methods (Gray-code order for Sobol', van der Corput
+order for the lattice) are not used by the cubatures.
 
 The module also houses the periodizing variable transforms and thin
 power-of-two FFT / fast Walsh-Hadamard transform entry points.
@@ -188,18 +191,39 @@ class SobolGenerator:
             )
 
     def points(self, start: int, stop: int) -> np.ndarray:
-        """Points with natural digital indices [start, stop), shape (n, d)."""
+        """Points with natural digital indices [start, stop), shape (n, d).
+
+        The range is split into maximal aligned power-of-two runs.  Inside
+        a run of length 2^k that starts at ``pos`` (a multiple of 2^k),
+        index ``pos + j`` has the bits of ``pos`` plus the disjoint bits of
+        ``j``, so row 0 of the run is the digital shift XOR the direction
+        columns of the bits of ``pos``, and rows [h, 2h) are rows [0, h)
+        XOR direction column log2(h).  Filling a run this way costs one
+        XOR per row and coordinate instead of one per row, coordinate and
+        index bit.
+        """
         if not (0 <= start <= stop < (1 << SOBOL_MAX_BITS) + 1):
             raise ConfigurationError("index range out of bounds")
-        idx = np.arange(start, stop, dtype=np.uint64)
-        state = np.zeros((idx.size, self.dimension), dtype=np.uint64)
-        bits = int(stop - 1).bit_length() if stop > 1 else 1
-        for b in range(bits):
-            mask = (idx >> np.uint64(b)) & np.uint64(1) == 1
-            if np.any(mask):
-                state[mask] ^= self._v[:, b]
-        state ^= self.digital_shift
-        return state.astype(np.float64) / float(1 << SOBOL_MAX_BITS)
+        start, stop = int(start), int(stop)
+        state = np.empty((stop - start, self.dimension), dtype=np.uint64)
+        pos = start
+        while pos < stop:
+            size = pos & -pos if pos else 1 << SOBOL_MAX_BITS
+            while pos + size > stop:
+                size >>= 1
+            run = state[pos - start:pos - start + size]
+            run[0] = self.digital_shift
+            for b in range(pos.bit_length()):
+                if (pos >> b) & 1:
+                    run[0] ^= self._v[:, b]
+            h, b = 1, 0
+            while h < size:
+                np.bitwise_xor(run[:h], self._v[:, b], out=run[h:2 * h])
+                h, b = 2 * h, b + 1
+            pos += size
+        pts = state.astype(np.float64)
+        pts /= float(1 << SOBOL_MAX_BITS)
+        return pts
 
     def block(self, m_lo: int, m_hi: int) -> np.ndarray:
         """Sequence points for positions [2^m_lo, 2^m_hi), Gray-code order."""
@@ -317,25 +341,46 @@ def _check_pow2(n: int) -> None:
         raise ConfigurationError(f"length must be a power of two, got {n}")
 
 
+# Stages whose blocks of 2h elements fit in this many elements run one chunk
+# at a time, so that a chunk stays in cache across those stages.
+_FWHT_CHUNK = 1 << 14
+
+
 def fwht_inplace(values: np.ndarray) -> np.ndarray:
     """Unnormalized fast Walsh-Hadamard transform, mutating ``values``.
 
-    Applying it twice multiplies the input by its length.
+    Stage h (h = 1, 2, 4, ...) replaces each pair (l, r) that is h apart
+    within a block of 2h by (l + r, l - r).  ``l - r`` goes to a scratch
+    buffer reused by every stage, then ``l += r`` and the scratch is copied
+    into ``r``.  The stages with 2h <= 2^14 run chunk by chunk; the rest
+    run over the whole array.  Applying the transform twice multiplies
+    the input by its length.
     """
     a = np.asarray(values)
     if a.ndim != 1:
         raise ConfigurationError("fwht expects a 1-d array")
     n = a.shape[0]
     _check_pow2(n)
-    h = 1
-    while h < n:
-        view = a.reshape(-1, 2 * h)
-        left = view[:, :h].copy()
-        right = view[:, h:]
-        view[:, :h] = left + right
-        view[:, h:] = left - right
-        h *= 2
+    chunk = min(n, _FWHT_CHUNK)
+    scratch = np.empty(n // 2, dtype=a.dtype)
+    for lo in range(0, n, chunk):
+        _fwht_stages(a[lo:lo + chunk], 1, chunk, scratch)
+    _fwht_stages(a, chunk, n, scratch)
     return a
+
+
+def _fwht_stages(a: np.ndarray, h: int, stop: int,
+                 scratch: np.ndarray) -> None:
+    """Butterfly stages h, 2h, ... below ``stop`` over all of ``a``."""
+    while h < stop:
+        view = a.reshape(-1, 2 * h)
+        left = view[:, :h]
+        right = view[:, h:]
+        diff = scratch[:a.shape[0] // 2].reshape(-1, h)
+        np.subtract(left, right, out=diff)
+        left += right
+        right[...] = diff
+        h *= 2
 
 
 def fft(values: np.ndarray) -> np.ndarray:

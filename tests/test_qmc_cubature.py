@@ -21,6 +21,7 @@ from certint import (
     measure_map,
     tolfun,
 )
+from certint.qmc_cubature import _block_sums, _certified_bound
 
 UNIT2 = Hyperbox([0.0, 0.0], [1.0, 1.0])
 
@@ -72,6 +73,91 @@ class TestCoeffErrorBound:
             if prev is not None:
                 assert bound <= prev
             prev = bound
+
+
+def _argsort_block_sums_and_bound(coeffs, m, fudge):
+    """Block sums and bound of the stable-argsort ordering, with the
+    level-m ``coeff_error_bound`` term in the max."""
+    order = np.concatenate(
+        ([0], 1 + np.argsort(-np.abs(coeffs[1:]), kind="stable")))
+    ranked = np.abs(coeffs[order])
+    sums = np.empty(m + 1)
+    sums[0] = ranked[0]
+    for level in range(1, m + 1):
+        sums[level] = float(np.sum(ranked[1 << (level - 1):1 << level]))
+    bound = max(coeff_error_bound(ranked, m, fudge),
+                _certified_bound(sums, m, fudge))
+    return sums, bound
+
+
+class TestBlockSumsOracle:
+    """Sorting magnitudes as values gives the argsort path bit for bit."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 12, 15])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_matches_argsort_path(self, m, kind):
+        n = 1 << m
+        rng = np.random.default_rng(m)
+        coeffs = rng.normal(size=n) * 10.0 ** rng.integers(-6, 3, size=n)
+        if kind == "complex":
+            coeffs = coeffs + 1j * rng.normal(size=n)
+        # exact ties of magnitude (also across signs) and exact zeros
+        picks = rng.integers(0, n, size=(max(1, n // 4), 2))
+        sign = rng.choice([-1.0, 1.0], size=picks.shape[0])
+        coeffs[picks[:, 0]] = sign * coeffs[picks[:, 1]]
+        coeffs[rng.integers(0, n, size=max(1, n // 8))] = 0.0
+        want_sums, want_bound = _argsort_block_sums_and_bound(
+            coeffs, m, default_fudge)
+        got_sums = _block_sums(coeffs, m)
+        assert np.array_equal(got_sums.view(np.uint64),
+                              want_sums.view(np.uint64))
+        got_bound = _certified_bound(got_sums, m, default_fudge)
+        assert got_bound.hex() == want_bound.hex()
+
+    def test_leaves_coefficients_untouched(self):
+        coeffs = np.array([3.0, -1.0, 2.0, -2.0])
+        _block_sums(coeffs, 2)
+        assert coeffs.tolist() == [3.0, -1.0, 2.0, -2.0]
+
+
+def _f_call(x):
+    return math.exp(-0.05**2 / 2) * np.maximum(
+        100.0 * np.exp(0.05 * x[:, 0]) - 100.0, 0.0)
+
+
+class TestGoldenValues:
+    """(q, n, bound_err, exitflag) of four worked examples at the seeds
+    that ``certint examples --seed 1`` gives them, pinned bit for bit."""
+
+    CASES = {
+        "cubsobol prod [0,1]^2": (
+            cub_sobol, lambda x: np.prod(x, axis=1), UNIT2,
+            ToleranceSpec(1e-5, 0.0), "id", 27,
+            ("0x1.ffffffffffffep-3", 4096, "0x1.e2fa3f11bf480p-19", 0)),
+        "cubsobol call option": (
+            cub_sobol, _f_call,
+            Hyperbox([-math.inf], [math.inf], Measure.NORMAL),
+            ToleranceSpec(1e-4, 1e-2), "id", 30,
+            ("0x1.073083de97a8ep+1", 8192, "0x1.72491a2b19f20p-7", 0)),
+        "cublattice prod [0,1]^2": (
+            cub_lattice, lambda x: np.prod(x, axis=1), UNIT2,
+            ToleranceSpec(1e-5, 0.0), "c1sin", 21,
+            ("0x1.fffffffff3e81p-3", 16384, "0x1.4b5567dd2ea4ap-19", 0)),
+        "cublattice poisson kernel": (
+            cub_lattice,
+            lambda x: 3.0 / (5.0 - 4.0 * np.cos(2.0 * np.pi * x[:, 0])),
+            Hyperbox([0.0], [1.0], Measure.UNIFORM),
+            ToleranceSpec(1e-5, 0.0), "id", 26,
+            ("0x1.ffffffffffffcp-1", 1024, "0x1.dffe20000304ap-19", 0)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_pinned(self, name):
+        solver, f, box, spec, transform, seed, want = self.CASES[name]
+        params = QmcParams(tol=spec, mmax=24, transform=Periodizer(transform))
+        res = solver(f, box, params, RngStream(seed))
+        got = (res.q.hex(), res.n, res.bound_err.hex(), res.exitflag)
+        assert got == want
 
 
 class TestConeCheck:

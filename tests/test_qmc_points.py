@@ -20,7 +20,11 @@ from certint import (
     periodize,
     sobol_block,
 )
-from certint.qmc_points import _cache, periodizer_map_weight
+from certint.qmc_points import (
+    SOBOL_MAX_BITS,
+    _cache,
+    periodizer_map_weight,
+)
 
 
 class TestSobol:
@@ -86,6 +90,51 @@ class TestSobol:
             SobolGenerator(1112)
         with pytest.raises(ConfigurationError):
             SobolGenerator(0)
+
+
+def _sobol_reference(gen, start, stop):
+    """Natural-order Sobol' points by masked XOR over every index bit."""
+    idx = np.arange(start, stop, dtype=np.uint64)
+    state = np.zeros((idx.size, gen.dimension), dtype=np.uint64)
+    for b in range(SOBOL_MAX_BITS):
+        mask = (idx >> np.uint64(b)) & np.uint64(1) == 1
+        state[mask] ^= gen._v[:, b]
+    state ^= gen.digital_shift
+    return state.astype(np.float64) / float(1 << SOBOL_MAX_BITS)
+
+
+class TestSobolOracle:
+    """``points`` equals the per-bit reference bit for bit."""
+
+    RANGES = [(0, 0), (0, 1), (1, 2), (3, 1000), (1024, 2048),
+              (1000, 70000), (2**20 - 7, 2**20 + 9),
+              (2**53 - 3, 2**53)]
+
+    @pytest.mark.parametrize("d", [1, 3, 7])
+    @pytest.mark.parametrize("scrambled", [False, True])
+    def test_matches_reference(self, d, scrambled):
+        gen = SobolGenerator(d, rng=RngStream(5) if scrambled else None)
+        for start, stop in self.RANGES:
+            got = gen.points(start, stop)
+            want = _sobol_reference(gen, start, stop)
+            assert got.shape == (stop - start, d)
+            assert got.dtype == np.float64
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), \
+                (start, stop)
+
+    def test_refining_block_extends_prefix(self):
+        gen = SobolGenerator(3, rng=RngStream(5))
+        whole = gen.points(0, 2**12)
+        parts = np.vstack([gen.points(0, 2**10), gen.points(2**10, 2**11),
+                           gen.points(2**11, 2**12)])
+        assert np.array_equal(whole.view(np.uint64), parts.view(np.uint64))
+
+    def test_range_checked(self):
+        gen = SobolGenerator(2)
+        with pytest.raises(ConfigurationError):
+            gen.points(5, 4)
+        with pytest.raises(ConfigurationError):
+            gen.points(0, 2**53 + 1)
 
 
 def _compositions(total, parts):
@@ -159,6 +208,23 @@ class TestTransforms:
         lhs = fwht_inplace(2.0 * a + 3.0 * b)
         rhs = 2.0 * fwht_inplace(a.copy()) + 3.0 * fwht_inplace(b.copy())
         assert np.allclose(lhs, rhs)
+
+    @pytest.mark.parametrize("n", [1, 2, 2**10, 2**17])
+    def test_fwht_matches_copy_per_stage_loop(self, n):
+        v = np.random.default_rng(n).normal(size=n) * 10.0 ** \
+            np.random.default_rng(n + 1).integers(-8, 8, size=n)
+        want = v.copy()
+        h = 1
+        while h < n:
+            view = want.reshape(-1, 2 * h)
+            left = view[:, :h].copy()
+            right = view[:, h:]
+            view[:, :h] = left + right
+            view[:, h:] = left - right
+            h *= 2
+        got = fwht_inplace(v)
+        assert got is v
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_fwht_rejects_non_power(self):
         with pytest.raises(ConfigurationError):
