@@ -41,7 +41,6 @@ from .montecarlo import (
 from .qmc_cubature import (
     QmcParams,
     QmcResult,
-    coeff_error_bound,
     cone_check,
     cub_lattice,
     cub_sobol,
@@ -54,9 +53,7 @@ from .qmc_points import (
     SobolGenerator,
     fft,
     fwht_inplace,
-    lattice_block,
     periodize,
-    sobol_block,
 )
 from .univariate import (
     ConeState,
@@ -80,10 +77,10 @@ __all__ = [
     "CheckStatus", "Hyperbox", "McParams", "McTrace", "Measure",
     "cub_mc", "hoeffding_n", "kurtosis_bound", "mean_mc", "mean_mc_ber",
     "two_stage_n",
-    "QmcParams", "QmcResult", "coeff_error_bound", "cone_check",
+    "QmcParams", "QmcResult", "cone_check",
     "cub_lattice", "cub_sobol", "default_fudge", "measure_map",
     "LatticeGenerator", "Periodizer", "SobolGenerator", "fft",
-    "fwht_inplace", "lattice_block", "periodize", "sobol_block",
+    "fwht_inplace", "periodize",
     "ConeState", "IntervalProblem", "MinimizerResult",
     "PiecewiseLinearApprox", "eval_approx", "funappx", "funmin", "integral",
     "ninit_rule",

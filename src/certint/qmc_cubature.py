@@ -28,6 +28,15 @@ block is the natural index range [2^m, 2^(m+1)) and its Walsh
 coefficients merge with the old ones by one butterfly; the lattice
 refining block is the odd indices at level m+1, merged by one radix-2 FFT
 step.
+
+Every block, the first one and each refining one, is evaluated in chunks
+of ``_EVAL_CHUNK`` rows: the chunk's points, their measure map and the
+integrand values exist only for that chunk, and the values go straight
+into the level's value buffer.  Each point and each value is computed
+exactly as it would be in one piece, so the results do not depend on the
+chunk size.  The (n, d) point arrays are never built: the level buffers
+take O(n) memory whatever d is, and the points of one chunk O(2^15 d),
+where one piece took O(n d).
 """
 
 from __future__ import annotations
@@ -58,7 +67,6 @@ __all__ = [
     "QmcParams",
     "QmcResult",
     "default_fudge",
-    "coeff_error_bound",
     "cone_check",
     "measure_map",
     "cub_lattice",
@@ -105,19 +113,6 @@ class QmcResult:
     extra: dict = field(default_factory=dict)
 
 
-def coeff_error_bound(coeffs: np.ndarray, m: int, fudge: Callable) -> float:
-    """Error bound fudge(m) * S(m) from wavenumber-ordered coefficients,
-    where S(m) sums the magnitudes of the top dyadic block
-    kappa in [2^(m-1), 2^m)."""
-    coeffs = np.asarray(coeffs)
-    if coeffs.shape != (1 << m,):
-        raise ConfigurationError(f"need 2^{m} coefficients, got {coeffs.shape}")
-    if m == 0:
-        return 0.0
-    top = float(np.sum(np.abs(coeffs[1 << (m - 1):])))
-    return float(fudge(m)) * top
-
-
 def cone_check(block_sums, fudge: Callable) -> bool:
     """True when the observed block sums contradict the assumed decay.
 
@@ -140,7 +135,8 @@ def measure_map(points: np.ndarray, box: Hyperbox):
     """Map unit-cube points into the hyperbox of the given measure.
 
     Uniform: affine map, scale = volume.  Normal: inverse normal CDF per
-    coordinate (arguments clamped away from 0), scale = 1.
+    coordinate (arguments clamped away from 0), scale = 1.  ``points`` is
+    never written to.
     """
     pts = np.asarray(points, dtype=float)
     if box.measure is Measure.UNIFORM:
@@ -150,7 +146,7 @@ def measure_map(points: np.ndarray, box: Hyperbox):
     # the nearest representable interior values so the inverse CDF stays
     # finite
     clipped = np.clip(pts, np.finfo(float).tiny, np.nextafter(1.0, 0.0))
-    return ndtri(clipped), 1.0
+    return ndtri(clipped, out=clipped), 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +191,25 @@ def _certified_bound(sums: np.ndarray, m: int, fudge: Callable) -> float:
                         * sums[lo:m + 1]))
 
 
-def _eval_unit(g, pts: np.ndarray, what: str) -> np.ndarray:
-    vals = np.asarray(g(pts), dtype=float).reshape(-1)
+# Rows per evaluation chunk, and elements per chunk of the Walsh merge.  A
+# chunk of d coordinates takes 8 d 2^15 bytes per array: small enough for
+# the points, the measure map and the integrand to work in cache, large
+# enough that the per-call overhead of numpy stays negligible.
+_EVAL_CHUNK = 1 << 15
+
+
+def _eval_chunk(unit_points, to_box, f, m: int, indices: np.ndarray,
+                what: str) -> np.ndarray:
+    """Integrand values at one chunk of natural indices at level m.
+
+    The unit-cube points live only until ``to_box`` has mapped them, so
+    the integrand runs next to the mapped points alone.  The values are
+    multiplied by the mapping's factors in the order given.
+    """
+    pts, factors = to_box(unit_points(m, indices))
+    vals = np.asarray(f(pts), dtype=float).reshape(-1)
+    for factor in factors:
+        vals = vals * factor
     if vals.shape[0] != pts.shape[0]:
         raise EvaluationError(
             f"{what}: integrand returned {vals.shape[0]} values for "
@@ -206,18 +219,31 @@ def _eval_unit(g, pts: np.ndarray, what: str) -> np.ndarray:
     return vals
 
 
-def _adaptive_cubature(unit_points, g, params: QmcParams, d: int,
+def _adaptive_cubature(unit_points, to_box, f, params: QmcParams, d: int,
                        use_fft: bool, what: str) -> QmcResult:
     """Doubling loop shared by the lattice and Sobol' cubatures.
 
     ``unit_points(m, indices)`` returns unit-cube points for natural
-    indices at level m; ``g`` is the fully composed scalar integrand on
-    the unit cube (scale, transform and measure map included).
+    indices at level m.  ``to_box(u)`` maps them to ``(pts, factors)``:
+    the points ``f`` takes (transform and measure map applied) and the
+    factors (Jacobian, volume) that turn ``f(pts)`` into the integrand on
+    the unit cube.
     """
+
+    def fill(level: int, start: int, step: int, out: np.ndarray) -> None:
+        """Write the integrand at the natural indices start, start + step,
+        ... of ``level`` into ``out``, one chunk at a time."""
+        for lo in range(0, out.size, _EVAL_CHUNK):
+            hi = min(lo + _EVAL_CHUNK, out.size)
+            out[lo:hi] = _eval_chunk(
+                unit_points, to_box, f, level,
+                np.arange(start + step * lo, start + step * hi, step), what)
+
     t_start = time.perf_counter()
     mmin, mmax = params.mmin, params.mmax
     m = mmin
-    yvals = _eval_unit(g, unit_points(m, np.arange(1 << m)), what)
+    yvals = np.empty(1 << m)
+    fill(m, 0, 1, yvals)
     if use_fft:
         coeffs = np.fft.fft(yvals) / yvals.size
     else:
@@ -238,14 +264,20 @@ def _adaptive_cubature(unit_points, g, params: QmcParams, d: int,
             exitflag |= 1
             break
         # extend to level m+1: evaluate the refining half, merge transforms
-        new_idx = _refining_indices(m, use_fft)
-        ynew = _eval_unit(g, unit_points(m + 1, new_idx), what)
+        n = 1 << m
         if use_fft:
+            # the odd natural indices at level m+1
+            ynew = np.empty(n)
+            fill(m + 1, 1, 2, ynew)
             coeffs = _merge_fft(coeffs, ynew)
             yvals = _interleave(yvals, ynew)
         else:
-            coeffs = _merge_fwht(coeffs, ynew)
-            yvals = np.concatenate([yvals, ynew])
+            # the next block of net indices, [2^m, 2^(m+1))
+            grown = np.empty(2 * n)
+            grown[:n] = yvals
+            yvals = grown
+            fill(m + 1, n, 1, yvals[n:])
+            coeffs = _merge_fwht(coeffs, yvals[n:])
         m += 1
 
     return QmcResult(
@@ -254,12 +286,6 @@ def _adaptive_cubature(unit_points, g, params: QmcParams, d: int,
         extra={"m": m, "bound_err_history": history,
                "block_sums": sums.tolist()},
     )
-
-
-def _refining_indices(m: int, use_fft: bool) -> np.ndarray:
-    if use_fft:
-        return np.arange(1, 1 << (m + 1), 2)   # odd naturals at level m+1
-    return np.arange(1 << m, 1 << (m + 1))     # next block of net indices
 
 
 def _interleave(old: np.ndarray, new: np.ndarray) -> np.ndarray:
@@ -278,24 +304,41 @@ def _walsh_coeffs(yvals: np.ndarray) -> np.ndarray:
 
 def _merge_fft(coeffs: np.ndarray, ynew: np.ndarray) -> np.ndarray:
     """Coefficients at level m+1 from level-m coefficients and the FFT of
-    the new (odd-index) values."""
+    the new (odd-index) values: 0.5 * (c + tw odd, c - tw odd)."""
     n = coeffs.size
-    odd = np.fft.fft(ynew) / n
+    odd = np.fft.fft(ynew)
+    odd /= n
     tw = np.exp(-2j * np.pi * np.arange(n) / (2 * n))
-    upper = coeffs - tw * odd
-    lower = coeffs + tw * odd
-    return 0.5 * np.concatenate([lower, upper])
+    np.multiply(tw, odd, out=odd)
+    del tw
+    out = np.empty(2 * n, dtype=complex)
+    np.add(coeffs, odd, out=out[:n])
+    np.subtract(coeffs, odd, out=out[n:])
+    out *= 0.5
+    return out
 
 
 def _merge_fwht(coeffs: np.ndarray, ynew: np.ndarray) -> np.ndarray:
     """Walsh coefficients at level m+1: 0.5 * (c + new, c - new), where
-    ``new`` holds the coefficients of the refining block of values."""
+    ``new`` holds the coefficients of the refining block of values.
+
+    ``new`` is transformed in the upper half of the output; the scaling,
+    the butterfly and the halving then run one cache-sized chunk at a
+    time.
+    """
     n = coeffs.size
-    new = _walsh_coeffs(ynew)
     out = np.empty(2 * n)
-    np.add(coeffs, new, out=out[:n])
-    np.subtract(coeffs, new, out=out[n:])
-    out *= 0.5
+    upper = out[n:]
+    upper[...] = ynew
+    fwht_inplace(upper)
+    for lo in range(0, n, _EVAL_CHUNK):
+        hi = min(lo + _EVAL_CHUNK, n)
+        c, new, low = coeffs[lo:hi], upper[lo:hi], out[lo:hi]
+        new /= n
+        np.add(c, new, out=low)
+        np.subtract(c, new, out=new)
+        low *= 0.5
+        new *= 0.5
     return out
 
 
@@ -328,14 +371,15 @@ def cub_lattice(f, box: Hyperbox, params: QmcParams,
     gen = LatticeGenerator(d, rng=rng)
     variant = params.transform
 
-    def g(u: np.ndarray) -> np.ndarray:
+    def to_box(u: np.ndarray):
         mapped_u, weight = periodizer_map_weight(variant, u)
+        jacobian = np.prod(weight, axis=1)
+        del weight      # free it before the measure map allocates
         pts, scale = measure_map(mapped_u, box)
-        vals = np.asarray(f(pts), dtype=float).reshape(-1)
-        return vals * np.prod(weight, axis=1) * scale
+        return pts, (jacobian, scale)
 
     res = _adaptive_cubature(
-        lambda m, idx: gen.points_at_level(m, idx), g, params, d,
+        lambda m, idx: gen.points_at_level(m, idx), to_box, f, params, d,
         use_fft=True, what="cub_lattice")
     res.extra.update({"transform": variant.value, "shift": gen.shift.tolist()})
     return res
@@ -354,15 +398,14 @@ def cub_sobol(f, box: Hyperbox, params: QmcParams,
     d = box.dimension
     gen = SobolGenerator(d, rng=rng)
 
-    def g(u: np.ndarray) -> np.ndarray:
+    def to_box(u: np.ndarray):
         pts, scale = measure_map(u, box)
-        vals = np.asarray(f(pts), dtype=float).reshape(-1)
-        return vals * scale
+        return pts, (scale,)
 
     # Sobol' points do not depend on the level, and the engine always asks
     # for contiguous natural index ranges.
     res = _adaptive_cubature(
         lambda m, idx: gen.points(int(idx[0]), int(idx[-1]) + 1),
-        g, params, d, use_fft=False, what="cub_sobol")
+        to_box, f, params, d, use_fft=False, what="cub_sobol")
     res.extra.update({"digital_shift": gen.digital_shift.tolist()})
     return res

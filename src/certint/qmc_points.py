@@ -15,9 +15,9 @@ The doubling cubature loop asks for points in natural index order only:
 and ``LatticeGenerator.points_at_level(m + 1, odd indices)``, so that
 doubling the sample extends rather than regenerates it.  Sobol' points
 are built by XOR doubling within aligned power-of-two runs, the
-natural-order form of the Antonov-Saleev recurrence.  The sequence-order
-``block``/``prefix`` methods (Gray-code order for Sobol', van der Corput
-order for the lattice) are not used by the cubatures.
+natural-order form of the Antonov-Saleev recurrence.  Both requests work
+on any sub-range of indices, so the cubature can ask for a block one
+chunk at a time and get the same points bit for bit.
 
 The module also houses the periodizing variable transforms and thin
 power-of-two FFT / fast Walsh-Hadamard transform entry points.
@@ -39,8 +39,6 @@ __all__ = [
     "SobolGenerator",
     "LatticeGenerator",
     "Periodizer",
-    "sobol_block",
-    "lattice_block",
     "fwht_inplace",
     "fft",
     "periodize",
@@ -225,20 +223,6 @@ class SobolGenerator:
         pts /= float(1 << SOBOL_MAX_BITS)
         return pts
 
-    def block(self, m_lo: int, m_hi: int) -> np.ndarray:
-        """Sequence points for positions [2^m_lo, 2^m_hi), Gray-code order."""
-        if not (0 <= m_lo < m_hi <= SOBOL_MAX_BITS):
-            raise ConfigurationError("need 0 <= m_lo < m_hi <= 53")
-        j = np.arange(1 << m_lo, 1 << m_hi, dtype=np.uint64)
-        gray = j ^ (j >> np.uint64(1))
-        state = np.zeros((j.size, self.dimension), dtype=np.uint64)
-        for b in range(m_hi):
-            mask = (gray >> np.uint64(b)) & np.uint64(1) == 1
-            if np.any(mask):
-                state[mask] ^= self._v[:, b]
-        state ^= self.digital_shift
-        return state.astype(np.float64) / float(1 << SOBOL_MAX_BITS)
-
 
 def _matrix_scramble(v: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """Left-multiply each dimension's generator matrix by a random unit
@@ -257,13 +241,6 @@ def _matrix_scramble(v: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     par = np.bitwise_count(masks[:, :, None] & v[:, None, :]) & np.uint64(1)
     shifts = np.uint64(bits - 1) - rows                      # row p -> bit 52-p
     return (par.astype(np.uint64) << shifts[None, :, None]).sum(axis=1)
-
-
-def sobol_block(gen: SobolGenerator, m_lo: int, m_hi: int) -> np.ndarray:
-    """Gray-code-ordered digitally shifted Sobol' points, positions
-    [2^m_lo, 2^m_hi); appending consecutive blocks (after the prefix
-    ``gen.points(0, 2^m_lo)``) extends the same sequence."""
-    return gen.block(m_lo, m_hi)
 
 
 class LatticeGenerator:
@@ -292,44 +269,12 @@ class LatticeGenerator:
         if not (0 <= m <= LATTICE_MAX_M):
             raise ConfigurationError(f"need 0 <= m <= {LATTICE_MAX_M}")
         k = np.asarray(indices, dtype=np.int64)
-        prod = (k[:, None] * self.generating_vector[None, :]) & ((1 << m) - 1)
-        pts = prod.astype(np.float64) / float(1 << m) + self.shift
-        return np.mod(pts, 1.0)
-
-    def block(self, m_lo: int, m_hi: int) -> np.ndarray:
-        """Sequence points for positions [2^m_lo, 2^m_hi), van der Corput
-        order: position i contributes frac(phi2(i) * z + shift)."""
-        if not (0 <= m_lo < m_hi <= LATTICE_MAX_M):
-            raise ConfigurationError(f"need 0 <= m_lo < m_hi <= {LATTICE_MAX_M}")
-        i = np.arange(1 << m_lo, 1 << m_hi, dtype=np.int64)
-        pts = _radical_inverse(i)[:, None] * self.generating_vector[None, :]
-        return np.mod(pts + self.shift, 1.0)
-
-    def prefix(self, m: int) -> np.ndarray:
-        """First 2^m sequence points (van der Corput order, origin first)."""
-        if not (0 <= m <= LATTICE_MAX_M):
-            raise ConfigurationError(f"need 0 <= m <= {LATTICE_MAX_M}")
-        i = np.arange(1 << m, dtype=np.int64)
-        pts = _radical_inverse(i)[:, None] * self.generating_vector[None, :]
-        return np.mod(pts + self.shift, 1.0)
-
-
-def lattice_block(gen: LatticeGenerator, m_lo: int, m_hi: int) -> np.ndarray:
-    """Rank-1 lattice points in radical-inverse order for positions
-    [2^m_lo, 2^m_hi), so successive blocks refine the same lattice."""
-    return gen.block(m_lo, m_hi)
-
-
-def _radical_inverse(i: np.ndarray) -> np.ndarray:
-    """Base-2 van der Corput radical inverse of nonnegative integers."""
-    x = np.zeros(i.shape, dtype=np.float64)
-    scale = 0.5
-    work = i.copy()
-    while np.any(work > 0):
-        x += scale * (work & 1)
-        work >>= 1
-        scale *= 0.5
-    return x
+        prod = k[:, None] * self.generating_vector[None, :]
+        prod &= (1 << m) - 1
+        pts = prod.astype(np.float64)
+        pts /= float(1 << m)
+        pts += self.shift
+        return np.mod(pts, 1.0, out=pts)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +288,10 @@ def _check_pow2(n: int) -> None:
 
 # Stages whose blocks of 2h elements fit in this many elements run one chunk
 # at a time, so that a chunk stays in cache across those stages.
-_FWHT_CHUNK = 1 << 14
+_FWHT_CHUNK = 1 << 16
+# Stages with h below this run as h pairs of 1-d strided views; a 2-d view
+# of rows of length h would pay one inner loop per row of h elements.
+_FWHT_STRIDED = 16
 
 
 def fwht_inplace(values: np.ndarray) -> np.ndarray:
@@ -352,9 +300,12 @@ def fwht_inplace(values: np.ndarray) -> np.ndarray:
     Stage h (h = 1, 2, 4, ...) replaces each pair (l, r) that is h apart
     within a block of 2h by (l + r, l - r).  ``l - r`` goes to a scratch
     buffer reused by every stage, then ``l += r`` and the scratch is copied
-    into ``r``.  The stages with 2h <= 2^14 run chunk by chunk; the rest
-    run over the whole array.  Applying the transform twice multiplies
-    the input by its length.
+    into ``r``.  The small stages h < 16 take the pairs as strided views,
+    one per offset o < h: ``l = a[o::2h]`` and ``r = a[o+h::2h]``; the
+    larger stages take them as the two halves of each row of the
+    (n / 2h, 2h) view.  The stages with 2h <= 2^16 run chunk by chunk; the
+    rest run over the whole array.  Applying the transform twice
+    multiplies the input by its length.
     """
     a = np.asarray(values)
     if a.ndim != 1:
@@ -372,11 +323,21 @@ def fwht_inplace(values: np.ndarray) -> np.ndarray:
 def _fwht_stages(a: np.ndarray, h: int, stop: int,
                  scratch: np.ndarray) -> None:
     """Butterfly stages h, 2h, ... below ``stop`` over all of ``a``."""
+    half = a.shape[0] // 2
+    while h < min(stop, _FWHT_STRIDED):
+        diff = scratch[:half // h]
+        for o in range(h):
+            left = a[o::2 * h]
+            right = a[o + h::2 * h]
+            np.subtract(left, right, out=diff)
+            left += right
+            right[...] = diff
+        h *= 2
     while h < stop:
         view = a.reshape(-1, 2 * h)
         left = view[:, :h]
         right = view[:, h:]
-        diff = scratch[:a.shape[0] // 2].reshape(-1, h)
+        diff = scratch[:half].reshape(-1, h)
         np.subtract(left, right, out=diff)
         left += right
         right[...] = diff

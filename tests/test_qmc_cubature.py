@@ -1,83 +1,46 @@
 """Adaptive QMC cubature: bounds, cone detection, engine behavior."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from certint import (
     ConfigurationError,
+    EvaluationError,
     Hyperbox,
+    LatticeGenerator,
     Measure,
     Periodizer,
     QmcParams,
     RngStream,
+    SobolGenerator,
     ToleranceSpec,
-    coeff_error_bound,
     cone_check,
     cub_lattice,
     cub_sobol,
     default_fudge,
+    fwht_inplace,
     measure_map,
     tolfun,
 )
-from certint.qmc_cubature import _block_sums, _certified_bound
+from certint.qmc_cubature import (
+    _EVAL_CHUNK,
+    _block_sums,
+    _certified_bound,
+    _merge_fft,
+    _merge_fwht,
+)
 
 UNIT2 = Hyperbox([0.0, 0.0], [1.0, 1.0])
-
-
-class TestCoeffErrorBound:
-    def test_constant_integrand(self):
-        coeffs = np.zeros(1024)
-        coeffs[0] = 7.0
-        assert coeff_error_bound(coeffs, 10, default_fudge) == 0.0
-
-    def test_single_top_coefficient(self):
-        coeffs = np.zeros(1024)
-        coeffs[800] = 3.0
-        want = 5.0 * 2.0**-10 * 3.0
-        assert coeff_error_bound(coeffs, 10, default_fudge) == \
-            pytest.approx(want)
-
-    def test_length_checked(self):
-        with pytest.raises(ConfigurationError):
-            coeff_error_bound(np.zeros(1000), 10, default_fudge)
-
-    def test_poisson_kernel_bound_dominates(self):
-        # known integral 1.  The spectrum decays like 2^-kappa, so at
-        # 2^5 points the top blocks still hold genuine mass and the bound
-        # must dominate outright; at 2^12 points both the bound and the
-        # realized error are at the floating-point floor, so the check
-        # allows the roundoff of a 4096-term mean.
-        f = lambda x: 3.0 / (5.0 - 4.0 * np.cos(2 * np.pi * x[:, 0]))
-        box = Hyperbox([0.0], [1.0])
-        for seed in range(5):
-            params = QmcParams(tol=ToleranceSpec(1e-12, 0.0), mmin=5,
-                               mmax=5, transform=Periodizer.ID)
-            res = cub_lattice(f, box, params, RngStream(seed))
-            assert abs(res.q - 1.0) <= res.bound_err
-        for seed in range(5):
-            params = QmcParams(tol=ToleranceSpec(1e-12, 0.0), mmin=12,
-                               mmax=12, transform=Periodizer.ID)
-            res = cub_lattice(f, box, params, RngStream(seed))
-            assert abs(res.q - 1.0) <= res.bound_err + \
-                4 * np.finfo(float).eps
-
-    def test_nonincreasing_on_geometric_decay(self):
-        rng = np.random.default_rng(0)
-        prev = None
-        for m in range(6, 14):
-            n = 1 << m
-            coeffs = 2.0 ** (-np.arange(n) / 64.0) * (1 + 0.01 * rng.random(n))
-            bound = coeff_error_bound(coeffs, m, default_fudge)
-            if prev is not None:
-                assert bound <= prev
-            prev = bound
+UNIT5 = Hyperbox([0.0] * 5, [1.0] * 5)
+NORMAL3 = Hyperbox([-math.inf] * 3, [math.inf] * 3, Measure.NORMAL)
 
 
 def _argsort_block_sums_and_bound(coeffs, m, fudge):
     """Block sums and bound of the stable-argsort ordering, with the
-    level-m ``coeff_error_bound`` term in the max."""
+    level-m term fudge(m) * sum |ranked[2^(m-1):]| in the max."""
     order = np.concatenate(
         ([0], 1 + np.argsort(-np.abs(coeffs[1:]), kind="stable")))
     ranked = np.abs(coeffs[order])
@@ -85,8 +48,8 @@ def _argsort_block_sums_and_bound(coeffs, m, fudge):
     sums[0] = ranked[0]
     for level in range(1, m + 1):
         sums[level] = float(np.sum(ranked[1 << (level - 1):1 << level]))
-    bound = max(coeff_error_bound(ranked, m, fudge),
-                _certified_bound(sums, m, fudge))
+    top = float(fudge(m)) * float(np.sum(np.abs(ranked[1 << (m - 1):])))
+    bound = max(top, _certified_bound(sums, m, fudge))
     return sums, bound
 
 
@@ -126,35 +89,50 @@ def _f_call(x):
 
 
 class TestGoldenValues:
-    """(q, n, bound_err, exitflag) of four worked examples at the seeds
-    that ``certint examples --seed 1`` gives them, pinned bit for bit."""
+    """(q, n, bound_err, exitflag) of six worked examples at the seeds
+    that ``certint examples --seed 1`` gives them, and of one normal-measure
+    run stopped by its budget, pinned bit for bit.  The two 8 prod cases and
+    the budget run take more than one evaluation chunk per block."""
 
     CASES = {
         "cubsobol prod [0,1]^2": (
             cub_sobol, lambda x: np.prod(x, axis=1), UNIT2,
-            ToleranceSpec(1e-5, 0.0), "id", 27,
+            ToleranceSpec(1e-5, 0.0), "id", 27, 24,
             ("0x1.ffffffffffffep-3", 4096, "0x1.e2fa3f11bf480p-19", 0)),
         "cubsobol call option": (
             cub_sobol, _f_call,
             Hyperbox([-math.inf], [math.inf], Measure.NORMAL),
-            ToleranceSpec(1e-4, 1e-2), "id", 30,
+            ToleranceSpec(1e-4, 1e-2), "id", 30, 24,
             ("0x1.073083de97a8ep+1", 8192, "0x1.72491a2b19f20p-7", 0)),
+        "cubsobol 8 prod [0,1]^5": (
+            cub_sobol, lambda x: 8.0 * np.prod(x, axis=1), UNIT5,
+            ToleranceSpec(1e-5, 0.0), "id", 31, 24,
+            ("0x1.0000001800f86p-2", 524288, "0x1.40c4edc309294p-18", 0)),
+        "cubsobol x^2 moments normal, budget": (
+            cub_sobol, lambda x: x[:, 0]**2 * x[:, 1]**2 * x[:, 2]**2,
+            NORMAL3, ToleranceSpec(1e-12, 0.0), "id", 28, 18,
+            ("0x1.ff976476316fep-1", 262144, "0x1.3e3cfa208c68bp-6", 1)),
         "cublattice prod [0,1]^2": (
             cub_lattice, lambda x: np.prod(x, axis=1), UNIT2,
-            ToleranceSpec(1e-5, 0.0), "c1sin", 21,
+            ToleranceSpec(1e-5, 0.0), "c1sin", 21, 24,
             ("0x1.fffffffff3e81p-3", 16384, "0x1.4b5567dd2ea4ap-19", 0)),
+        "cublattice 8 prod [0,1]^5": (
+            cub_lattice, lambda x: 8.0 * np.prod(x, axis=1), UNIT5,
+            ToleranceSpec(1e-5, 0.0), "baker", 25, 24,
+            ("0x1.ffffff726cc42p-3", 1048576, "0x1.01c3e8d7f0275p-17", 0)),
         "cublattice poisson kernel": (
             cub_lattice,
             lambda x: 3.0 / (5.0 - 4.0 * np.cos(2.0 * np.pi * x[:, 0])),
             Hyperbox([0.0], [1.0], Measure.UNIFORM),
-            ToleranceSpec(1e-5, 0.0), "id", 26,
+            ToleranceSpec(1e-5, 0.0), "id", 26, 24,
             ("0x1.ffffffffffffcp-1", 1024, "0x1.dffe20000304ap-19", 0)),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_pinned(self, name):
-        solver, f, box, spec, transform, seed, want = self.CASES[name]
-        params = QmcParams(tol=spec, mmax=24, transform=Periodizer(transform))
+        solver, f, box, spec, transform, seed, mmax, want = self.CASES[name]
+        params = QmcParams(tol=spec, mmax=mmax,
+                           transform=Periodizer(transform))
         res = solver(f, box, params, RngStream(seed))
         got = (res.q.hex(), res.n, res.bound_err.hex(), res.exitflag)
         assert got == want
@@ -209,6 +187,13 @@ class TestMeasureMap:
         box = Hyperbox([-math.inf], [math.inf], Measure.NORMAL)
         mapped, _ = measure_map(np.array([[0.0], [1.0]]), box)
         assert np.all(np.isfinite(mapped))
+
+    def test_normal_leaves_input_untouched(self):
+        box = Hyperbox([-math.inf] * 2, [math.inf] * 2, Measure.NORMAL)
+        pts = np.array([[0.0, 0.25], [1.0, 0.5]])
+        mapped, _ = measure_map(pts, box)
+        assert pts.tolist() == [[0.0, 0.25], [1.0, 0.5]]
+        assert not np.shares_memory(mapped, pts)
 
 
 class TestEngine:
@@ -272,7 +257,134 @@ class TestEngine:
             QmcParams(mmin=10, mmax=9)
 
 
+class _Recorder:
+    """Integrand prod(x) that keeps a copy of every chunk it is given and
+    puts a NaN into the values of call number ``nan_call``."""
+
+    def __init__(self, nan_call=None):
+        self.chunks = []
+        self.nan_call = nan_call
+
+    def __call__(self, x):
+        self.chunks.append(x.copy())
+        vals = np.prod(x, axis=1)
+        if len(self.chunks) == self.nan_call:
+            vals[-1] = np.nan
+        return vals
+
+
+class TestChunkedEvaluation:
+    """Blocks larger than ``_EVAL_CHUNK`` rows are evaluated in chunks."""
+
+    # two chunks in the first block, then a refining block of two chunks
+    M = _EVAL_CHUNK.bit_length()
+    BUDGET = QmcParams(tol=ToleranceSpec(1e-300, 0.0), mmin=M, mmax=M + 1,
+                       transform=Periodizer.ID)
+
+    def test_sobol_rows_are_the_points_in_order(self):
+        f = _Recorder()
+        res = cub_sobol(f, UNIT2, self.BUDGET, RngStream(4))
+        assert res.n == 2**(self.M + 1) and res.exitflag & 1
+        assert max(c.shape[0] for c in f.chunks) <= _EVAL_CHUNK
+        assert len(f.chunks) == 4
+        want = SobolGenerator(2, rng=RngStream(4)).points(0, res.n)
+        got = np.vstack(f.chunks)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_lattice_rows_are_the_points_in_order(self):
+        f = _Recorder()
+        res = cub_lattice(f, UNIT2, self.BUDGET, RngStream(4))
+        m = self.M
+        assert res.n == 2**(m + 1) and res.exitflag & 1
+        assert max(c.shape[0] for c in f.chunks) <= _EVAL_CHUNK
+        assert len(f.chunks) == 4
+        gen = LatticeGenerator(2, rng=RngStream(4))
+        want = np.vstack([gen.points_at_level(m, np.arange(2**m)),
+                          gen.points_at_level(m + 1,
+                                              np.arange(1, 2**(m + 1), 2))])
+        got = np.vstack(f.chunks)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("solver", [cub_sobol, cub_lattice])
+    @pytest.mark.parametrize("nan_call", [2, 4])
+    def test_nan_in_a_later_chunk_raises(self, solver, nan_call):
+        # call 2 ends the first block, call 4 the refining block
+        f = _Recorder(nan_call=nan_call)
+        with pytest.raises(EvaluationError):
+            solver(f, UNIT2, self.BUDGET, RngStream(4))
+        assert len(f.chunks) == nan_call
+
+    def test_peak_memory_does_not_grow_with_dimension(self):
+        # In units of one float64 array of the final 2^18 points: the
+        # level buffers take about 3 (Sobol') and 5 (lattice, complex
+        # coefficients), one chunk of 8 coordinates about 1.  Whole
+        # (2^m, 8) arrays would add 8 units per array.
+        unit = 8 * 2**18
+        d = 8
+        box = Hyperbox([-math.inf] * d, [math.inf] * d, Measure.NORMAL)
+        params = QmcParams(tol=ToleranceSpec(1e-14, 0.0), mmin=10, mmax=18)
+        f = lambda x: np.prod(x * x, axis=1)
+        for solver, limit in ((cub_sobol, 5), (cub_lattice, 8)):
+            solver(f, box, QmcParams(mmin=1, mmax=1), RngStream(1))
+            tracemalloc.start()
+            try:
+                res = solver(f, box, params, RngStream(1))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert res.n == 2**18 and res.exitflag & 1
+            assert peak < limit * unit, (solver.__name__, peak / unit)
+
+
+class TestMergeOracle:
+    """The merges equal their one-piece formulas bit for bit, also when
+    they run over more than one chunk."""
+
+    @pytest.mark.parametrize("n", [1, 8, 2**17])
+    def test_fwht_merge(self, n):
+        rng = np.random.default_rng(n)
+        coeffs = rng.normal(size=n) * 10.0 ** rng.integers(-6, 3, size=n)
+        ynew = rng.normal(size=n)
+        new = ynew.copy()
+        fwht_inplace(new)
+        new /= n
+        want = 0.5 * np.concatenate([coeffs + new, coeffs - new])
+        got = _merge_fwht(coeffs, ynew)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [1, 8, 2**17])
+    def test_fft_merge(self, n):
+        rng = np.random.default_rng(n)
+        coeffs = rng.normal(size=n) + 1j * rng.normal(size=n)
+        ynew = rng.normal(size=n)
+        odd = np.fft.fft(ynew) / n
+        tw = np.exp(-2j * np.pi * np.arange(n) / (2 * n))
+        want = 0.5 * np.concatenate([coeffs + tw * odd, coeffs - tw * odd])
+        got = _merge_fft(coeffs, ynew)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestGuarantees:
+    def test_poisson_kernel_bound_dominates(self):
+        # known integral 1.  The spectrum decays like 2^-kappa, so at
+        # 2^5 points the top blocks still hold genuine mass and the bound
+        # must dominate outright; at 2^12 points both the bound and the
+        # realized error are at the floating-point floor, so the check
+        # allows the roundoff of a 4096-term mean.
+        f = lambda x: 3.0 / (5.0 - 4.0 * np.cos(2 * np.pi * x[:, 0]))
+        box = Hyperbox([0.0], [1.0])
+        for seed in range(5):
+            params = QmcParams(tol=ToleranceSpec(1e-12, 0.0), mmin=5,
+                               mmax=5, transform=Periodizer.ID)
+            res = cub_lattice(f, box, params, RngStream(seed))
+            assert abs(res.q - 1.0) <= res.bound_err
+        for seed in range(5):
+            params = QmcParams(tol=ToleranceSpec(1e-12, 0.0), mmin=12,
+                               mmax=12, transform=Periodizer.ID)
+            res = cub_lattice(f, box, params, RngStream(seed))
+            assert abs(res.q - 1.0) <= res.bound_err + \
+                4 * np.finfo(float).eps
+
     def test_shift_invariance_lattice(self):
         f = lambda x: np.exp(-x[:, 0]**2 - x[:, 1]**2)
         truth = 0.557746285351034  # squared erf closed form on [0,1]^2

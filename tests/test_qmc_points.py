@@ -16,9 +16,7 @@ from certint import (
     SobolGenerator,
     fft,
     fwht_inplace,
-    lattice_block,
     periodize,
-    sobol_block,
 )
 from certint.qmc_points import (
     SOBOL_MAX_BITS,
@@ -30,26 +28,11 @@ from certint.qmc_points import (
 class TestSobol:
     def test_first_points_gray_order(self):
         gen = SobolGenerator(1)
-        block = sobol_block(gen, 0, 2)  # sequence positions 1..3
-        assert block[:, 0].tolist() == [0.5, 0.75, 0.25]
-        assert gen.points(0, 1)[0, 0] == 0.0
-        # set of the first four sequence points
-        first4 = set(gen.points(0, 4)[:, 0].tolist())
-        assert first4 == {0.0, 0.25, 0.5, 0.75}
-
-    def test_block_lengths(self):
-        gen = SobolGenerator(3)
-        for m_lo, m_hi in [(0, 2), (3, 5), (2, 3)]:
-            assert sobol_block(gen, m_lo, m_hi).shape == \
-                (2**m_hi - 2**m_lo, 3)
-
-    def test_blocks_extend_prefix(self):
-        gen = SobolGenerator(2)
-        whole = np.vstack([gen.points(0, 1), gen.block(0, 4)])
-        j = np.arange(16, dtype=np.uint64)
-        gray = (j ^ (j >> np.uint64(1))).astype(np.int64)
-        natural = gen.points(0, 16)
-        assert np.array_equal(whole, natural[gray])
+        natural = gen.points(0, 4)[:, 0]
+        # Gray-code sequence positions 1..3 are natural indices 1, 3, 2
+        assert natural[[1, 3, 2]].tolist() == [0.5, 0.75, 0.25]
+        assert natural[0] == 0.0
+        assert set(natural.tolist()) == {0.0, 0.25, 0.5, 0.75}
 
     def test_shifted_equidistribution(self):
         gen = SobolGenerator(2, rng=RngStream(5))
@@ -147,37 +130,45 @@ def _compositions(total, parts):
             yield (head,) + rest
 
 
+def _lattice_level(gen, m):
+    """All 2^m points of the lattice at level m, natural order."""
+    return gen.points_at_level(m, np.arange(2**m))
+
+
 class TestLattice:
     def test_one_dim_grid(self):
         gen = LatticeGenerator(1)
-        pts = gen.prefix(3)[:, 0]
+        pts = _lattice_level(gen, 3)[:, 0]
         assert set(pts.tolist()) == {k / 8 for k in range(8)}
 
     def test_shift_moves_points(self):
         base = LatticeGenerator(2)
         shifted = LatticeGenerator(2, shift=np.array([0.25, 0.5]))
-        a = base.prefix(4)
-        b = shifted.prefix(4)
+        a = _lattice_level(base, 4)
+        b = _lattice_level(shifted, 4)
         assert np.allclose(np.mod(a + [0.25, 0.5], 1.0), b)
 
     def test_projection_gap(self):
-        pts = LatticeGenerator(2).prefix(10)
+        pts = _lattice_level(LatticeGenerator(2), 10)
         for j in range(2):
             xs = np.sort(pts[:, j])
             gaps = np.diff(np.concatenate([xs, [xs[0] + 1.0]]))
             assert gaps.max() < 2.0 / 2**10
 
     def test_group_property(self):
-        pts = LatticeGenerator(3).prefix(5)
+        pts = _lattice_level(LatticeGenerator(3), 5)
         rows = {tuple(np.round(p, 12)) for p in pts}
         for a, b in itertools.islice(itertools.product(pts, repeat=2), 300):
             s = tuple(np.round(np.mod(a + b, 1.0), 12))
             assert s in rows
 
-    def test_blocks_refine(self):
-        gen = LatticeGenerator(2, rng=RngStream(3))
-        assert np.allclose(np.vstack([gen.prefix(3), lattice_block(gen, 3, 5)]),
-                           gen.prefix(5))
+    def test_index_chunks_match_whole(self):
+        gen = LatticeGenerator(5, rng=RngStream(3))
+        idx = np.arange(1, 2**12, 2)
+        whole = gen.points_at_level(12, idx)
+        parts = np.vstack([gen.points_at_level(12, idx[:700]),
+                           gen.points_at_level(12, idx[700:])])
+        assert np.array_equal(whole.view(np.uint64), parts.view(np.uint64))
 
     def test_odd_vector_and_limits(self):
         gen = LatticeGenerator(250)
@@ -185,7 +176,7 @@ class TestLattice:
         with pytest.raises(ConfigurationError):
             LatticeGenerator(251)
         with pytest.raises(ConfigurationError):
-            gen.block(0, 27)
+            gen.points_at_level(27, np.arange(1))
 
 
 class TestTransforms:
@@ -209,7 +200,8 @@ class TestTransforms:
         rhs = 2.0 * fwht_inplace(a.copy()) + 3.0 * fwht_inplace(b.copy())
         assert np.allclose(lhs, rhs)
 
-    @pytest.mark.parametrize("n", [1, 2, 2**10, 2**17])
+    @pytest.mark.parametrize(
+        "n", [1, 2, 4, 8, 16, 32, 2**10, 2**16, 2**17, 2**18])
     def test_fwht_matches_copy_per_stage_loop(self, n):
         v = np.random.default_rng(n).normal(size=n) * 10.0 ** \
             np.random.default_rng(n + 1).integers(-8, 8, size=n)
