@@ -14,9 +14,7 @@ from .core import (
     SolverDiagnostics,
     ToleranceSpec,
     TolType,
-    normal_stream,
     tolfun,
-    uniform_stream,
 )
 from .errors import (
     CertintError,
@@ -29,7 +27,6 @@ from .montecarlo import (
     CheckStatus,
     Hyperbox,
     McParams,
-    McTrace,
     Measure,
     cub_mc,
     hoeffding_n,
@@ -56,7 +53,6 @@ from .qmc_points import (
     periodize,
 )
 from .univariate import (
-    ConeState,
     IntervalProblem,
     MinimizerResult,
     PiecewiseLinearApprox,
@@ -71,17 +67,17 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Budget", "RngStream", "SolverDiagnostics", "ToleranceSpec", "TolType",
-    "normal_stream", "tolfun", "uniform_stream",
+    "tolfun",
     "CertintError", "ConfigurationError", "DataFileError", "EvaluationError",
     "eval_batch", "parse", "render",
-    "CheckStatus", "Hyperbox", "McParams", "McTrace", "Measure",
+    "CheckStatus", "Hyperbox", "McParams", "Measure",
     "cub_mc", "hoeffding_n", "kurtosis_bound", "mean_mc", "mean_mc_ber",
     "two_stage_n",
     "QmcParams", "QmcResult", "cone_check",
     "cub_lattice", "cub_sobol", "default_fudge", "measure_map",
     "LatticeGenerator", "Periodizer", "SobolGenerator", "fft",
     "fwht_inplace", "periodize",
-    "ConeState", "IntervalProblem", "MinimizerResult",
+    "IntervalProblem", "MinimizerResult",
     "PiecewiseLinearApprox", "eval_approx", "funappx", "funmin", "integral",
     "ninit_rule",
 ]

@@ -41,7 +41,8 @@ _SUBCOMMANDS = ("funappx", "funmin", "integral", "meanmc", "meanmcber",
 
 @dataclass
 class RunReport:
-    """One solver invocation: echoed inputs, estimate, diagnostics."""
+    """One solver invocation: echoed inputs, estimate, diagnostics (the
+    JSON view of the run's :class:`SolverDiagnostics`)."""
 
     command: str
     inputs: dict
@@ -57,7 +58,7 @@ class RunReport:
             "command": self.command,
             "inputs": _jsonable(self.inputs),
             "estimate": self.estimate,
-            "diagnostics": _jsonable(self.diagnostics),
+            "diagnostics": self.diagnostics,
         }
         if self.pass_ is not None:
             out["pass"] = bool(self.pass_)
@@ -98,9 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", dest="json_path", default=None,
                        help="write the run report to this path")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (this build runs each solver "
-                            "single-threaded; the flag is reserved)")
 
     def interval(p):
         p.add_argument("--a", type=float, default=0.0)
@@ -202,6 +200,15 @@ def _expr_fn(text: str, dim: int):
     return lambda pts: exprlang.eval_batch(tree, pts)
 
 
+def _qmc_diagnostics(algorithm: str, res,
+                     params: QmcParams) -> SolverDiagnostics:
+    """The diagnostics record of one ``cub_lattice``/``cub_sobol`` run."""
+    return SolverDiagnostics(
+        algorithm=algorithm, n_evals=res.n, n_points=res.n,
+        iterations=res.extra["m"] - params.mmin + 1, errest=res.bound_err,
+        exit_flags=res.exitflag, elapsed_seconds=res.time, extra=res.extra)
+
+
 # ---------------------------------------------------------------------------
 # Subcommand runners
 # ---------------------------------------------------------------------------
@@ -295,15 +302,9 @@ def _run_subcommand(args) -> tuple:
         )
         solver = cub_lattice if cmd == "cublattice" else cub_sobol
         res = solver(f, box, params, RngStream(args.seed))
-        diag_dict = {
-            "algorithm": cmd, "n_evals": res.n, "n_points": res.n,
-            "iterations": res.extra.get("m", 0) - args.mmin + 1,
-            "errest": res.bound_err, "exit_flags": res.exitflag,
-            "extra": _jsonable({k: v for k, v in res.extra.items()
-                                if k != "bound_err_history"}),
-        }
-        report = RunReport(cmd, inputs, res.q, diag_dict)
-        return report, res.exitflag
+        diag = _qmc_diagnostics(cmd, res, params)
+        report = RunReport(cmd, inputs, res.q, diag.to_json_dict())
+        return report, diag.exit_flags
 
     raise ConfigurationError(f"unknown subcommand {cmd!r}")
 
@@ -443,12 +444,7 @@ def _fixtures(seed: int) -> list:
             params = QmcParams(tol=spec, mmax=mmax,
                                transform=Periodizer(transform))
             res = solver(f, box, params, RngStream(seed_))
-            diag = SolverDiagnostics(
-                algorithm=name.split()[0], n_evals=res.n, n_points=res.n,
-                iterations=res.extra["m"], errest=res.bound_err,
-                exit_flags=res.exitflag, elapsed_seconds=res.time,
-                extra={"m": res.extra["m"]})
-            return res.q, diag
+            return res.q, _qmc_diagnostics(name.split()[0], res, params)
         add(name, run_fn, truth, tolfun(spec, abs(truth)), provenance)
 
     unit2 = Hyperbox([0.0, 0.0], [1.0, 1.0], Measure.UNIFORM)

@@ -5,12 +5,11 @@ by taking the larger of the two (``Max``) or by a theta-weighted linear
 combination (``Comb``); every solver in the package phrases its stopping
 rule through :func:`tolfun`.
 
-Randomness flows from a single seedable source, :class:`RngStream`, which
-hands out statistically independent child streams by index.  Normal
-variates are produced by applying the inverse normal CDF to the uniform
-stream (Wichura-class rational approximation via ``scipy.special.ndtri``),
-so one uniform source drives all sampling deterministically and streams
-can be split without correlations.
+Randomness flows from a single seedable source, :class:`RngStream`: a
+(seed, stream index) pair names one reproducible uniform sequence, and
+distinct indices give independent sequences.  Solvers that need normal
+variates apply the inverse normal CDF to those uniforms, so one uniform
+source drives all sampling deterministically.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ConfigurationError
 
@@ -113,36 +111,11 @@ class RngStream:
     seed: int = 0
     stream_index: int = 0
 
-    def child(self, index: int) -> "RngStream":
-        """Stream with the same seed and a different index."""
-        return RngStream(self.seed, index)
-
     def generator(self) -> np.random.Generator:
         """Fresh numpy generator positioned at the start of this stream."""
         ss = np.random.SeedSequence(entropy=self.seed,
                                     spawn_key=(self.stream_index,))
         return np.random.Generator(np.random.PCG64(ss))
-
-
-def uniform_stream(rng: RngStream, n: int) -> np.ndarray:
-    """First ``n`` uniform [0,1) doubles of the stream."""
-    if n < 0:
-        raise ConfigurationError("n must be >= 0")
-    if n == 0:
-        return np.empty(0)
-    return rng.generator().random(n)
-
-
-def normal_stream(rng: RngStream, n: int) -> np.ndarray:
-    """First ``n`` standard-normal draws, via inverse CDF of the uniforms."""
-    if n < 0:
-        raise ConfigurationError("n must be >= 0")
-    if n == 0:
-        return np.empty(0)
-    u = rng.generator().random(n)
-    # ndtri(0) = -inf; the uniform stream can emit exactly 0.0.
-    np.clip(u, np.finfo(float).tiny, None, out=u)
-    return ndtri(u)
 
 
 @dataclass
@@ -153,6 +126,15 @@ class SolverDiagnostics:
     on every path whose postcondition claims the guarantee.  ``extra``
     carries algorithm-specific fields (nstar list, tau, ninit, volumeX,
     kurtmax, hmu/tol history, ...).
+
+    ``iterations`` counts, per algorithm:
+
+    * ``cub_lattice``/``cub_sobol``: the levels evaluated, m - mmin + 1;
+    * ``integral``: the grids evaluated (the initial one included);
+    * ``funmin``: the grid doublings;
+    * ``funappx``: the rounds of subinterval splits;
+    * ``mean_mc`` and ``cub_mc``: the mean-stage steps tau;
+    * ``mean_mc_ber``: 1, its single fixed-size draw.
     """
 
     algorithm: str
@@ -163,12 +145,6 @@ class SolverDiagnostics:
     exit_flags: int = 0
     elapsed_seconds: float = 0.0
     extra: dict = field(default_factory=dict)
-
-    def check(self) -> None:
-        if not (self.n_evals >= self.n_points >= 0):
-            raise ConfigurationError("diagnostics require n_evals >= n_points >= 0")
-        if self.errest < 0 or self.elapsed_seconds < 0:
-            raise ConfigurationError("errest and elapsed_seconds must be >= 0")
 
     def to_json_dict(self) -> dict:
         """JSON-ready view. Wall-clock time is excluded so that reports for

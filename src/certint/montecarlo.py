@@ -41,7 +41,6 @@ __all__ = [
     "McParams",
     "Hyperbox",
     "Measure",
-    "McTrace",
     "hoeffding_n",
     "mean_mc_ber",
     "two_stage_n",
@@ -57,7 +56,8 @@ _CHUNK = 1 << 24
 
 
 class CheckStatus(enum.IntEnum):
-    UNCHECKED = 0
+    """The solver that certified a run, as reported in ``extra["flag"]``."""
+
     CHECKED_BY_MEAN_MC = 1
     CHECKED_BY_CUB_MC = 2
 
@@ -77,7 +77,6 @@ class McParams:
     n_sig: int = 10_000
     n1: int = 10_000
     budget: Budget = field(default_factory=Budget)
-    flag: CheckStatus = CheckStatus.UNCHECKED
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
@@ -104,25 +103,14 @@ class Hyperbox:
         object.__setattr__(self, "lower", np.atleast_1d(np.asarray(self.lower, float)))
         object.__setattr__(self, "upper", np.atleast_1d(np.asarray(self.upper, float)))
 
-    @classmethod
-    def from_rows(cls, rows, measure: Measure = Measure.UNIFORM) -> "Hyperbox":
-        arr = np.asarray(rows, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != 2:
-            # keep the malformed shape around so validate() can flag it
-            box = cls(np.atleast_1d(arr.ravel()[:1]), np.atleast_1d(arr.ravel()[:1]),
-                      measure)
-            object.__setattr__(box, "_bad_shape", True)
-            return box
-        return cls(arr[0], arr[1], measure)
-
     @property
     def dimension(self) -> int:
         return int(self.lower.size)
 
     def validate(self) -> int:
         """0 if usable, else the documented exit code (10..14)."""
-        if getattr(self, "_bad_shape", False) or self.lower.shape != self.upper.shape \
-                or self.lower.ndim != 1 or self.lower.size == 0:
+        if self.lower.shape != self.upper.shape or self.lower.ndim != 1 \
+                or self.lower.size == 0:
             return 11
         if np.any(np.isnan(self.lower)) or np.any(np.isnan(self.upper)):
             return 10
@@ -138,20 +126,6 @@ class Hyperbox:
 
     def volume(self) -> float:
         return float(np.prod(self.upper - self.lower))
-
-
-@dataclass
-class McTrace:
-    """Iteration history of a two-stage mean estimation run."""
-
-    tau: int
-    n_per_iter: list
-    hmu: list
-    tol_per_iter: list
-    var_hat: float
-    kurtmax: float
-    nremain: int
-    ntot: int
 
 
 def hoeffding_n(abstol: float, alpha: float) -> int:
@@ -291,9 +265,12 @@ def mean_mc(yrand, params: McParams, rng: RngStream):
     """Mean of a random variable to within the generalized tolerance.
 
     ``yrand(n, generator)`` must return n IID draws.  Returns
-    ``(tmu, diagnostics)`` whose ``extra`` carries the full
-    :class:`McTrace`; exit flag 1 means the sample or time budget ran out
-    before the tolerance was certified.
+    ``(hmu, diagnostics)``: ``hmu`` is the sample mean of the last
+    mean-stage step, and ``extra`` carries the iteration history (``tau``
+    steps of sizes ``n`` with means ``hmu`` and half-widths ``tol``) plus
+    ``var``, ``kurtmax``, ``nremain``, ``ntot`` and ``n_up``.  Exit flag 1
+    means the sample or time budget ran out before the tolerance was
+    certified.
     """
     t_start = time.perf_counter()
     gen = rng.generator()
@@ -360,35 +337,25 @@ def mean_mc(yrand, params: McParams, rng: RngStream):
     else:
         exit_flags |= 1
 
-    trace = McTrace(
-        tau=len(n_hist),
-        n_per_iter=n_hist,
-        hmu=hmu_hist,
-        tol_per_iter=tol_hist,
-        var_hat=var_hat,
-        kurtmax=kurtmax,
-        nremain=max(params.budget.nbudget - ntot, 0),
-        ntot=ntot,
-    )
     diag = SolverDiagnostics(
         algorithm="mean_mc",
         n_evals=ntot,
         n_points=ntot,
-        iterations=trace.tau,
+        iterations=len(n_hist),
         errest=width if math.isfinite(width) else float("inf"),
         exit_flags=exit_flags,
         elapsed_seconds=time.perf_counter() - t_start,
         extra={
-            "tau": trace.tau,
-            "n": trace.n_per_iter,
-            "hmu": trace.hmu,
-            "tol": trace.tol_per_iter,
-            "var": trace.var_hat,
-            "kurtmax": trace.kurtmax,
-            "nremain": trace.nremain,
-            "ntot": trace.ntot,
+            "tau": len(n_hist),
+            "n": n_hist,
+            "hmu": hmu_hist,
+            "tol": tol_hist,
+            "var": var_hat,
+            "kurtmax": kurtmax,
+            "nremain": max(params.budget.nbudget - ntot, 0),
+            "ntot": ntot,
             "n_up": n_up,
-            "flag": int(params.flag) or int(CheckStatus.CHECKED_BY_MEAN_MC),
+            "flag": int(CheckStatus.CHECKED_BY_MEAN_MC),
         },
     )
     return hmu, diag
@@ -427,12 +394,7 @@ def cub_mc(f, box: Hyperbox, params: McParams, rng: RngStream):
             np.clip(u, np.finfo(float).tiny, None, out=u)
             return _eval_integrand(f, ndtri(u), "cub_mc")
 
-    delegated = McParams(
-        tol=params.tol, alpha=params.alpha, fudge=params.fudge,
-        n_sig=params.n_sig, n1=params.n1, budget=params.budget,
-        flag=CheckStatus.CHECKED_BY_CUB_MC,
-    )
-    q, diag = mean_mc(yrand, delegated, rng)
+    q, diag = mean_mc(yrand, params, rng)
     diag.algorithm = "cub_mc"
     diag.extra.update({
         "d": d,

@@ -105,7 +105,6 @@ class QmcResult:
     """
 
     q: float
-    d: int
     n: int
     bound_err: float
     exitflag: int
@@ -203,23 +202,24 @@ def _eval_chunk(unit_points, to_box, f, m: int, indices: np.ndarray,
     """Integrand values at one chunk of natural indices at level m.
 
     The unit-cube points live only until ``to_box`` has mapped them, so
-    the integrand runs next to the mapped points alone.  The values are
-    multiplied by the mapping's factors in the order given.
+    the integrand runs next to the mapped points alone.  The value count
+    is checked before the values are multiplied by the mapping's factors
+    (in the order given), so a scalar is never broadcast to a chunk.
     """
     pts, factors = to_box(unit_points(m, indices))
     vals = np.asarray(f(pts), dtype=float).reshape(-1)
-    for factor in factors:
-        vals = vals * factor
     if vals.shape[0] != pts.shape[0]:
         raise EvaluationError(
             f"{what}: integrand returned {vals.shape[0]} values for "
             f"{pts.shape[0]} points")
+    for factor in factors:
+        vals = vals * factor
     if not np.all(np.isfinite(vals)):
         raise EvaluationError(f"{what}: integrand returned NaN or Inf")
     return vals
 
 
-def _adaptive_cubature(unit_points, to_box, f, params: QmcParams, d: int,
+def _adaptive_cubature(unit_points, to_box, f, params: QmcParams,
                        use_fft: bool, what: str) -> QmcResult:
     """Doubling loop shared by the lattice and Sobol' cubatures.
 
@@ -250,12 +250,10 @@ def _adaptive_cubature(unit_points, to_box, f, params: QmcParams, d: int,
         coeffs = _walsh_coeffs(yvals)
 
     exitflag = 0
-    history = []
     while True:
         sums = _block_sums(coeffs, m)
         bound = _certified_bound(sums, m, params.fudge)
         q = float(np.mean(yvals))
-        history.append(bound)
         if cone_check(sums, params.fudge):
             exitflag |= 2
         if bound <= tolfun(params.tol, abs(q)):
@@ -281,10 +279,9 @@ def _adaptive_cubature(unit_points, to_box, f, params: QmcParams, d: int,
         m += 1
 
     return QmcResult(
-        q=q, d=d, n=1 << m, bound_err=float(bound), exitflag=exitflag,
+        q=q, n=1 << m, bound_err=float(bound), exitflag=exitflag,
         time=time.perf_counter() - t_start,
-        extra={"m": m, "bound_err_history": history,
-               "block_sums": sums.tolist()},
+        extra={"m": m, "block_sums": sums.tolist()},
     )
 
 
@@ -367,8 +364,7 @@ def cub_lattice(f, box: Hyperbox, params: QmcParams,
     _validate_box(box, LATTICE_MAX_DIM, "cub_lattice")
     if params.mmax > LATTICE_MAX_M:
         raise ConfigurationError(f"lattice mmax cannot exceed {LATTICE_MAX_M}")
-    d = box.dimension
-    gen = LatticeGenerator(d, rng=rng)
+    gen = LatticeGenerator(box.dimension, rng=rng)
     variant = params.transform
 
     def to_box(u: np.ndarray):
@@ -379,7 +375,7 @@ def cub_lattice(f, box: Hyperbox, params: QmcParams,
         return pts, (jacobian, scale)
 
     res = _adaptive_cubature(
-        lambda m, idx: gen.points_at_level(m, idx), to_box, f, params, d,
+        lambda m, idx: gen.points_at_level(m, idx), to_box, f, params,
         use_fft=True, what="cub_lattice")
     res.extra.update({"transform": variant.value, "shift": gen.shift.tolist()})
     return res
@@ -395,8 +391,7 @@ def cub_sobol(f, box: Hyperbox, params: QmcParams,
     _validate_box(box, SOBOL_MAX_DIM, "cub_sobol")
     if params.mmax > SOBOL_MAX_BITS:
         raise ConfigurationError(f"Sobol' mmax cannot exceed {SOBOL_MAX_BITS}")
-    d = box.dimension
-    gen = SobolGenerator(d, rng=rng)
+    gen = SobolGenerator(box.dimension, rng=rng)
 
     def to_box(u: np.ndarray):
         pts, scale = measure_map(u, box)
@@ -406,6 +401,6 @@ def cub_sobol(f, box: Hyperbox, params: QmcParams,
     # for contiguous natural index ranges.
     res = _adaptive_cubature(
         lambda m, idx: gen.points(int(idx[0]), int(idx[-1]) + 1),
-        to_box, f, params, d, use_fft=False, what="cub_sobol")
+        to_box, f, params, use_fft=False, what="cub_sobol")
     res.extra.update({"digital_shift": gen.digital_shift.tolist()})
     return res

@@ -38,7 +38,6 @@ __all__ = [
     "IntervalProblem",
     "PiecewiseLinearApprox",
     "MinimizerResult",
-    "ConeState",
     "ninit_rule",
     "funappx",
     "eval_approx",
@@ -105,15 +104,6 @@ class MinimizerResult:
     volumeX: float
     intervals: list
     errest: float
-
-
-@dataclass
-class ConeState:
-    """Cone constants as the solvers left them."""
-
-    nstar_per_interval: list
-    tau: int
-    tauchange: bool
 
 
 def ninit_rule(nlo: int, nhi: int, a: float, b: float) -> int:
@@ -235,11 +225,6 @@ def funappx(p: IntervalProblem):
     values = np.concatenate([s.ys[:-1] for s in subs] + [subs[-1].ys[-1:]])
     approx = PiecewiseLinearApprox(knots, values)
     errest = max(s.errest for s in subs)
-    cone = ConeState(
-        nstar_per_interval=[s.nstar for s in subs],
-        tau=2 * max(s.nstar for s in subs) + 1,
-        tauchange=any(s.nstar != nstar0 for s in subs),
-    )
     diag = SolverDiagnostics(
         algorithm="funappx",
         n_evals=n_evals,
@@ -250,8 +235,8 @@ def funappx(p: IntervalProblem):
         elapsed_seconds=time.perf_counter() - t_start,
         extra={
             "ninit": ninit,
-            "nstar": cone.nstar_per_interval,
-            "tauchange": cone.tauchange,
+            "nstar": [s.nstar for s in subs],
+            "tauchange": any(s.nstar != nstar0 for s in subs),
             "n_subintervals": len(subs),
             "abstol": p.abstol,
         },
@@ -353,8 +338,6 @@ def funmin(p: IntervalProblem, tolx: float = 1e-3):
         intervals=intervals,
         errest=float(errest),
     )
-    cone = ConeState(nstar_per_interval=[(tau - 1) // 2], tau=tau,
-                     tauchange=tauchange)
     diag = SolverDiagnostics(
         algorithm="funmin",
         n_evals=xs.size,
@@ -365,8 +348,8 @@ def funmin(p: IntervalProblem, tolx: float = 1e-3):
         elapsed_seconds=time.perf_counter() - t_start,
         extra={
             "ninit": ninit,
-            "tau": cone.tau,
-            "tauchange": cone.tauchange,
+            "tau": tau,
+            "tauchange": tauchange,
             "volumeX": volume_x,
             "intervals": [list(iv) for iv in intervals],
             "abstol": p.abstol,
@@ -453,8 +436,6 @@ def integral(p: IntervalProblem):
         iters += 1
         xs, ys = _doubled_grid(p.f, xs, ys, "integral")
 
-    cone = ConeState(nstar_per_interval=[nstar], tau=2 * nstar + 1,
-                     tauchange=tauchange)
     diag = SolverDiagnostics(
         algorithm="integral",
         n_evals=xs.size,
@@ -466,8 +447,8 @@ def integral(p: IntervalProblem):
         extra={
             "ninit": ninit,
             "nstar": nstar,
-            "tau": cone.tau,
-            "tauchange": cone.tauchange,
+            "tau": 2 * nstar + 1,
+            "tauchange": tauchange,
             "abstol": p.abstol,
         },
     )

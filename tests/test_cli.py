@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from certint.cli import run
+from certint import QmcParams
+from certint.cli import _fixtures, run
 
 
 class TestSubcommands:
@@ -103,3 +104,33 @@ class TestJson:
         run(args + ["--json", str(p1)])
         run(args + ["--json", str(p2)])
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestQmcIterations:
+    """Both entry points count the QMC levels evaluated, m - mmin + 1."""
+
+    # the examples rows that take seconds rather than milliseconds
+    HEAVY = {"cubsobol x^2 moments normal", "cublattice 8 prod [0,1]^5",
+             "cubsobol 8 prod [0,1]^5"}
+
+    @pytest.mark.parametrize("cmd", ["cubsobol", "cublattice"])
+    def test_subcommand(self, tmp_path, cmd):
+        path = tmp_path / "r.json"
+        run([cmd, "--f", "prod(x)", "--dim", "2", "--box", "0,1;0,1",
+             "--abstol", "1e-5", "--reltol", "0", "--mmin", "8",
+             "--seed", "7", "--json", str(path)])
+        diag = json.loads(path.read_text())["diagnostics"]
+        assert diag["iterations"] == diag["extra"]["m"] - 8 + 1
+
+    def test_examples_rows(self):
+        # row i of the examples table runs with seed 1 + i
+        mmin = QmcParams().mmin
+        rows = [(i, fx) for i, fx in enumerate(_fixtures(1))
+                if fx["name"].split()[0] in ("cublattice", "cubsobol")]
+        assert len(rows) == 11
+        for i, fx in rows:
+            if fx["name"] in self.HEAVY:
+                continue
+            _, diag = fx["run"](1 + i)
+            out = diag.to_json_dict()
+            assert out["iterations"] == out["extra"]["m"] - mmin + 1, fx["name"]

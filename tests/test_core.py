@@ -11,9 +11,7 @@ from certint import (
     SolverDiagnostics,
     ToleranceSpec,
     TolType,
-    normal_stream,
     tolfun,
-    uniform_stream,
 )
 
 
@@ -86,48 +84,21 @@ class TestTolfun:
 
 
 class TestStreams:
-    def test_empty(self):
-        assert uniform_stream(RngStream(1), 0).size == 0
-        assert normal_stream(RngStream(1), 0).size == 0
-
     def test_deterministic(self):
-        a = uniform_stream(RngStream(42, 0), 100)
-        b = uniform_stream(RngStream(42, 0), 100)
+        a = RngStream(42, 0).generator().random(100)
+        b = RngStream(42, 0).generator().random(100)
         assert np.array_equal(a, b)
         assert np.all((a >= 0) & (a < 1))
 
     def test_streams_uncorrelated(self):
         n = 100_000
-        a = uniform_stream(RngStream(42, 0), n)
-        b = uniform_stream(RngStream(42, 1), n)
+        a = RngStream(42, 0).generator().random(n)
+        b = RngStream(42, 1).generator().random(n)
         rho = np.corrcoef(a, b)[0, 1]
         assert abs(rho) < 0.02
 
-    def test_child_stream(self):
-        s = RngStream(7, 0)
-        assert s.child(3) == RngStream(7, 3)
-
-    def test_normal_moments(self):
-        z = normal_stream(RngStream(2024), 1_000_000)
-        assert abs(z.mean()) < 0.005
-        assert abs(z.var() - 1.0) < 0.01
-
-    def test_normal_deterministic(self):
-        a = normal_stream(RngStream(5, 2), 1000)
-        b = normal_stream(RngStream(5, 2), 1000)
-        assert np.array_equal(a, b)
-
-    def test_negative_n_rejected(self):
-        with pytest.raises(ConfigurationError):
-            uniform_stream(RngStream(1), -1)
-
 
 class TestDiagnostics:
-    def test_check_rejects_inconsistent_counts(self):
-        d = SolverDiagnostics(algorithm="x", n_evals=1, n_points=2)
-        with pytest.raises(ConfigurationError):
-            d.check()
-
     def test_json_dict_excludes_time(self):
         d = SolverDiagnostics(algorithm="x", n_evals=3, n_points=3,
                               elapsed_seconds=1.5,

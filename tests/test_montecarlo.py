@@ -169,7 +169,7 @@ class TestHyperbox:
     def test_codes(self):
         assert Hyperbox([0.0], [1.0]).validate() == 0
         assert Hyperbox([np.nan], [1.0]).validate() == 10
-        assert Hyperbox.from_rows([[0, 1], [1, 2], [2, 3]]).validate() == 11
+        assert Hyperbox([0.0, 1.0], [1.0, 2.0, 3.0]).validate() == 11
         assert Hyperbox([0.0], [0.0]).validate() == 12
         assert Hyperbox([0.0], [np.inf]).validate() == 13
         assert Hyperbox([0.0], [1.0], Measure.NORMAL).validate() == 14

@@ -256,6 +256,14 @@ class TestEngine:
         with pytest.raises(ConfigurationError):
             QmcParams(mmin=10, mmax=9)
 
+    @pytest.mark.parametrize("solver", [cub_sobol, cub_lattice])
+    def test_scalar_integrand_rejected(self, solver):
+        # one value for a whole chunk must not be broadcast by the factors
+        # (the lattice Jacobian) into a plausible answer
+        with pytest.raises(EvaluationError):
+            solver(lambda x: 0.5, UNIT2, QmcParams(mmin=4, mmax=6),
+                   RngStream(1))
+
 
 class _Recorder:
     """Integrand prod(x) that keeps a copy of every chunk it is given and
