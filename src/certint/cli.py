@@ -5,6 +5,9 @@ embedded table of worked examples and checks every estimate against its
 closed-form (or high-precision oracle) truth within the documented
 generalized tolerance.
 
+The argument parser is built once per process, on the first :func:`run`,
+and reused by every later call.
+
 Reports serialize to a single JSON object per run (``--json PATH``);
 timing is kept out of the JSON so fixed-seed reports are byte-identical
 across runs.  Exit codes: 0 clean, 1 configuration/parse error, 2 a
@@ -15,6 +18,7 @@ failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -66,7 +70,7 @@ class RunReport:
             out["truth"] = float(self.truth)
             out["truth_provenance"] = self.truth_provenance
         if self.grid is not None:
-            out["grid"] = _jsonable(self.grid)
+            out["grid"] = self.grid     # lists of floats from .tolist()
         return out
 
 
@@ -80,6 +84,7 @@ def _dump_json(payload, path: str) -> None:
 # Flag plumbing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="certint",
@@ -88,9 +93,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, *, tol_default=None, rel=False):
+    def common(p, *, tol_default=None, rel=False, boxed=False):
         p.add_argument("--f", help="integrand expression, e.g. 'x^2'")
-        p.add_argument("--dim", type=int, default=1)
+        if boxed:
+            p.add_argument("--dim", type=int, default=None,
+                           help="must equal the dimension of --box if given")
+        else:
+            p.add_argument("--dim", type=int, default=1)
         p.add_argument("--abstol", type=float, default=tol_default)
         if rel:
             p.add_argument("--reltol", type=float, default=None)
@@ -137,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, default=1_000_000_000)
 
     p = sub.add_parser("cubmc", help="Monte Carlo cubature over a hyperbox")
-    common(p, tol_default=1e-2, rel=True)
+    common(p, tol_default=1e-2, rel=True, boxed=True)
     p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--box", required=True,
                    help="'l1,u1;l2,u2;...' (inf allowed with --measure normal)")
@@ -147,7 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, helptext in (("cublattice", "rank-1 lattice cubature"),
                            ("cubsobol", "Sobol' cubature")):
         p = sub.add_parser(name, help=helptext)
-        common(p, tol_default=1e-4, rel=True)
+        common(p, tol_default=1e-4, rel=True, boxed=True)
         p.add_argument("--box", required=True)
         p.add_argument("--measure", choices=["uniform", "normal"],
                        default="uniform")
@@ -179,6 +188,18 @@ def _parse_box(text: str, measure: str) -> Hyperbox:
             np.all(np.isfinite(box.lower)) and np.all(np.isfinite(box.upper))):
         raise ConfigurationError(
             "infinite bounds are accepted only with --measure normal")
+    return box
+
+
+def _box_arg(args, inputs: dict) -> Hyperbox:
+    """The ``--box`` of a cubature subcommand.  Its dimension is the run's:
+    an explicit ``--dim`` must agree with it, and ``inputs`` echoes it."""
+    box = _parse_box(args.box, args.measure)
+    if args.dim is not None and args.dim != box.dimension:
+        raise ConfigurationError(
+            f"--dim {args.dim} disagrees with the {box.dimension}-dimensional "
+            f"--box")
+    inputs["dim"] = box.dimension
     return box
 
 
@@ -280,7 +301,7 @@ def _run_subcommand(args) -> tuple:
     if cmd == "cubmc":
         if not args.f:
             raise ConfigurationError("--f is required")
-        box = _parse_box(args.box, args.measure)
+        box = _box_arg(args, inputs)
         f = _expr_fn(args.f, box.dimension)
         params = McParams(tol=_tolspec(args, 1e-1), alpha=args.alpha,
                           budget=Budget(nbudget=args.nbudget))
@@ -294,7 +315,7 @@ def _run_subcommand(args) -> tuple:
     if cmd in ("cublattice", "cubsobol"):
         if not args.f:
             raise ConfigurationError("--f is required")
-        box = _parse_box(args.box, args.measure)
+        box = _box_arg(args, inputs)
         f = _expr_fn(args.f, box.dimension)
         params = QmcParams(
             tol=_tolspec(args, 1e-2), mmin=args.mmin, mmax=args.mmax,

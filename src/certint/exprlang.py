@@ -276,6 +276,16 @@ def eval_batch(e: Expr, points: np.ndarray) -> np.ndarray:
 
 
 def _eval(e: Expr, pts: np.ndarray):
+    """Every subtree but a literal operand evaluates to a full-length array.
+
+    A literal operand of ``+ - * /`` next to a non-literal one is used as an
+    ``np.float64`` scalar: those operations are correctly rounded, so the
+    result equals the one on a filled array bit for bit.  A literal exponent
+    of ``^`` decides the integer and odd rules once, but ``np.power`` still
+    gets a full-length exponent array, because a scalar exponent takes
+    numpy's shortcuts (a square for 2.0, ``sqrt`` for 0.5) and can change
+    the last bits.  When both operands are literals, both are filled arrays.
+    """
     if isinstance(e, Num):
         return np.full(pts.shape[0], e.value)
     if isinstance(e, Var):
@@ -286,18 +296,24 @@ def _eval(e: Expr, pts: np.ndarray):
     if isinstance(e, Unary):
         return -_eval(e.operand, pts)
     if isinstance(e, Binary):
-        left = _eval(e.left, pts)
-        right = _eval(e.right, pts)
+        lconst, rconst = _literal(e.left), _literal(e.right)
+        if lconst is not None and rconst is not None:
+            lconst = rconst = None
+        if e.op == "^":
+            base = _eval(e.left, pts)
+            if rconst is not None:
+                return _pow_literal(base, rconst)
+            return _signed_pow(base, _eval(e.right, pts))
+        left = _eval(e.left, pts) if lconst is None else np.float64(lconst)
+        right = _eval(e.right, pts) if rconst is None else np.float64(rconst)
         if e.op == "+":
             return left + right
         if e.op == "-":
             return left - right
         if e.op == "*":
             return left * right
-        if e.op == "/":
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return left / right
-        return _signed_pow(left, right)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return left / right
     if isinstance(e, Call):
         if e.name == "prod":
             return np.prod(pts, axis=1)
@@ -306,6 +322,29 @@ def _eval(e: Expr, pts: np.ndarray):
         with np.errstate(divide="ignore", invalid="ignore"):
             return _FUNCS_1[e.name](_eval(e.args[0], pts))
     raise ConfigurationError(f"not an expression node: {e!r}")
+
+
+def _literal(e: Expr):
+    """The value of a number or a negated number, else None."""
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Unary):
+        value = _literal(e.operand)
+        return None if value is None else -value
+    return None
+
+
+def _pow_literal(base: np.ndarray, p: float) -> np.ndarray:
+    """``_signed_pow(base, np.full(base.shape, p))``, with the integer and
+    odd tests made once on the literal ``p`` (an infinite ``p`` counts as
+    an even integer, a NaN as a fraction, as they do there)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mag = np.power(np.abs(base), np.full(base.shape, p))
+    if not (math.isinf(p) or p.is_integer()):
+        return np.where(base >= 0, mag, np.nan)
+    if math.isfinite(p) and p % 2.0 == 1.0:
+        return np.where(base >= 0, mag, -mag)
+    return mag
 
 
 def _signed_pow(base, expo):

@@ -216,11 +216,13 @@ def _draw_mean(yrand, n: int, gen, what: str, binary: bool = False):
         if y.shape != (take,):
             raise EvaluationError(f"{what}: sampler returned shape {y.shape}, "
                                   f"wanted ({take},)")
-        if not np.all(np.isfinite(y)):
+        chunk_sum = float(np.sum(y))
+        # a NaN or Inf draw makes the sum non-finite, so only then scan
+        if not math.isfinite(chunk_sum) and not np.all(np.isfinite(y)):
             raise EvaluationError(f"{what}: sampler returned NaN or Inf")
         if binary and not np.all((y == 0.0) | (y == 1.0)):
             raise EvaluationError(f"{what}: Bernoulli sampler must return 0/1 values")
-        total += float(np.sum(y))
+        total += chunk_sum
         sq += float(np.sum(y * y))
         left -= take
     mean = total / n

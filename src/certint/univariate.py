@@ -361,18 +361,10 @@ def funmin(p: IntervalProblem, tolx: float = 1e-3):
 
 def _merge_cells(xs: np.ndarray, mask: np.ndarray) -> list:
     """Merge adjacent flagged cells [x_i, x_i+1] into disjoint intervals."""
-    intervals = []
-    i = 0
-    m = mask.size
-    while i < m:
-        if mask[i]:
-            j = i
-            while j + 1 < m and mask[j + 1]:
-                j += 1
-            intervals.append([float(xs[i]), float(xs[j + 1])])
-            i = j + 1
-        i += 1
-    return intervals
+    edges = np.diff(np.concatenate(([0], mask.astype(np.int8), [0])))
+    starts = xs[np.flatnonzero(edges == 1)].tolist()
+    ends = xs[np.flatnonzero(edges == -1)].tolist()
+    return [[lo, hi] for lo, hi in zip(starts, ends)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Command-line front end: flags, exit codes, JSON reports."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -134,3 +136,70 @@ class TestQmcIterations:
             _, diag = fx["run"](1 + i)
             out = diag.to_json_dict()
             assert out["iterations"] == out["extra"]["m"] - mmin + 1, fx["name"]
+
+
+class TestBoxDimension:
+    """The cubature subcommands take their dimension from --box."""
+
+    ARGS = {"cubmc": ["--abstol", "2e-2", "--reltol", "0"],
+            "cublattice": ["--abstol", "1e-4", "--reltol", "0"],
+            "cubsobol": ["--abstol", "1e-4", "--reltol", "0"]}
+
+    @pytest.mark.parametrize("cmd", sorted(ARGS))
+    def test_dim_echoes_the_box(self, tmp_path, cmd):
+        path = tmp_path / "r.json"
+        rc = run([cmd, "--f", "x1*x2", "--box", "0,1;0,1", "--seed", "5",
+                  "--json", str(path)] + self.ARGS[cmd])
+        assert rc == 0
+        assert json.loads(path.read_text())["inputs"]["dim"] == 2
+
+    @pytest.mark.parametrize("cmd", sorted(ARGS))
+    def test_matching_dim_accepted(self, tmp_path, cmd):
+        path = tmp_path / "r.json"
+        rc = run([cmd, "--f", "x1*x2", "--dim", "2", "--box", "0,1;0,1",
+                  "--seed", "5", "--json", str(path)] + self.ARGS[cmd])
+        assert rc == 0
+        assert json.loads(path.read_text())["inputs"]["dim"] == 2
+
+    @pytest.mark.parametrize("cmd", sorted(ARGS))
+    def test_disagreeing_dim_rejected(self, tmp_path, capsys, cmd):
+        path = tmp_path / "r.json"
+        rc = run([cmd, "--f", "x1*x2", "--dim", "3", "--box", "0,1;0,1",
+                  "--json", str(path)] + self.ARGS[cmd])
+        assert rc == 1
+        assert "--dim 3" in capsys.readouterr().err
+        assert not path.exists()
+
+
+class TestParserReuse:
+    """One parser serves every run() of a process."""
+
+    def test_not_built_at_import(self):
+        code = ("import certint.cli as c; "
+                "print(c._build_parser.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True)
+        assert out.stdout.strip() == "0"
+
+    def test_error_then_valid_run(self):
+        assert run(["integral", "--nope", "1"]) == 1
+        assert run(["integral", "--f", "x^2"]) == 0
+
+    def test_defaults_do_not_leak(self, tmp_path):
+        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        args = ["cubsobol", "--f", "prod(x)", "--box", "0,1;0,1",
+                "--abstol", "1e-3", "--reltol", "0", "--seed", "3"]
+        assert run(args + ["--mmax", "12", "--json", str(p1)]) in (0, 2)
+        assert run(args + ["--json", str(p2)]) == 0
+        assert json.loads(p1.read_text())["inputs"]["mmax"] == 12
+        assert json.loads(p2.read_text())["inputs"]["mmax"] == 24
+
+    def test_repeated_run_same_bytes(self, tmp_path):
+        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        args = ["funappx", "--f", "exp(1.25*x)", "--a", "-1", "--b", "2",
+                "--grid", "33"]
+        assert run(args + ["--json", str(p1)]) == 0
+        assert run(args + ["--json", str(p2)]) == 0
+        assert p1.read_bytes() == p2.read_bytes()
+        grid = json.loads(p1.read_text())["grid"]
+        assert len(grid["xs"]) == len(grid["ys"]) == 33

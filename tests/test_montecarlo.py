@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from certint import montecarlo
 from certint import (
     Budget,
     CheckStatus,
@@ -110,6 +111,39 @@ class TestMeanMcBer:
         with pytest.raises(EvaluationError):
             mean_mc_ber(lambda n, gen: gen.random(n), abstol=0.1,
                         rng=RngStream(5))
+
+
+class TestDrawMean:
+    """The non-finite scan runs only on a chunk whose sum is not finite."""
+
+    @staticmethod
+    def _sampler(bad):
+        calls = []
+
+        def yrand(n, gen):
+            calls.append(n)
+            y = gen.random(n)
+            if len(calls) == 3:
+                y[n // 2:n // 2 + len(bad)] = bad
+            return y
+        return yrand
+
+    @pytest.mark.parametrize("bad", [[math.nan], [math.inf], [-math.inf],
+                                     [math.inf, -math.inf]])
+    def test_bad_draw_in_later_chunk(self, monkeypatch, bad):
+        monkeypatch.setattr(montecarlo, "_CHUNK", 8)
+        gen = RngStream(1).generator()
+        with pytest.raises(EvaluationError, match="NaN or Inf"):
+            with np.errstate(invalid="ignore"):
+                montecarlo._draw_mean(self._sampler(bad), 40, gen, "test")
+
+    def test_overflowing_sum_of_finite_draws(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_CHUNK", 8)
+        gen = RngStream(1).generator()
+        with np.errstate(over="ignore"):
+            mean, _ = montecarlo._draw_mean(
+                lambda n, g: np.full(n, 1e308), 4, gen, "test")
+        assert mean == math.inf
 
 
 class TestMeanMc:

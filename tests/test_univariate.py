@@ -18,6 +18,7 @@ from certint import (
     integral,
     ninit_rule,
 )
+from certint.univariate import _merge_cells
 
 
 class TestNinitRule:
@@ -198,6 +199,39 @@ class TestFunmin:
         _, loose = funmin(IntervalProblem(f=f, abstol=2e-6), tolx=1e-9)
         _, tight = funmin(IntervalProblem(f=f, abstol=1e-6), tolx=1e-9)
         assert loose.n_points <= tight.n_points
+
+
+def _merge_cells_loop(xs, mask):
+    """Reference: walk the mask cell by cell."""
+    intervals = []
+    i = 0
+    m = mask.size
+    while i < m:
+        if mask[i]:
+            j = i
+            while j + 1 < m and mask[j + 1]:
+                j += 1
+            intervals.append([float(xs[i]), float(xs[j + 1])])
+            i = j + 1
+        i += 1
+    return intervals
+
+
+class TestMergeCells:
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 64])
+    def test_equals_loop(self, m):
+        rng = np.random.default_rng(m)
+        xs = np.sort(rng.uniform(-3.0, 5.0, m + 1))
+        masks = [np.ones(m, bool), np.zeros(m, bool)]
+        masks += [rng.random(m) < share for share in (0.1, 0.5, 0.9)
+                  for _ in range(20)]
+        edges = np.zeros(m, bool)
+        edges[0] = edges[-1] = True
+        masks.append(edges)
+        for mask in masks:
+            got = _merge_cells(xs, mask)
+            assert got == _merge_cells_loop(xs, mask)
+            assert all(type(v) is float for iv in got for v in iv)
 
 
 class TestIntegral:
