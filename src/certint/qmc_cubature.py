@@ -32,11 +32,20 @@ step.
 Every block, the first one and each refining one, is evaluated in chunks
 of ``_EVAL_CHUNK`` rows: the chunk's points, their measure map and the
 integrand values exist only for that chunk, and the values go straight
-into the level's value buffer.  Each point and each value is computed
-exactly as it would be in one piece, so the results do not depend on the
-chunk size.  The (n, d) point arrays are never built: the level buffers
-take O(n) memory whatever d is, and the points of one chunk O(2^15 d),
-where one piece took O(n d).
+into the level's buffer.  Each point and each value is computed exactly
+as it would be in one piece, so the results do not depend on the chunk
+size.  The (n, d) point arrays are never built: the level buffers take
+O(n) memory whatever d is, and the points of one chunk O(2^15 d).
+
+The Sobol' loop holds one real buffer of 2^m coefficients and a running
+sum of the values, and no value array.  Each block is written straight
+into the buffer (the first block into all of it, each refining block into
+its upper half after the buffer has doubled in place), summed, and
+transformed there.  The magnitudes the block sums rank go into the upper
+half the next level will fill, or, at ``mmax``, over the coefficients
+themselves, so the grown buffer of 2^(m+1) floats is a level's peak.  The
+lattice loop holds the values (its estimate averages them in interleaved
+natural order), the complex coefficients and the magnitudes.
 """
 
 from __future__ import annotations
@@ -152,8 +161,14 @@ def measure_map(points: np.ndarray, box: Hyperbox):
 # Shared doubling engine
 # ---------------------------------------------------------------------------
 
-def _block_sums(coeffs: np.ndarray, m: int) -> np.ndarray:
+def _block_sums(coeffs: np.ndarray, m: int, mags: np.ndarray) -> np.ndarray:
     """Dyadic block sums S(0), ..., S(m) of the ranked magnitudes.
+
+    The magnitudes |coeffs| are written into ``mags`` and ranked there.
+    ``mags`` is a real array of the same length: the Sobol' loop passes the
+    upper half of its grown buffer, which the next level has not filled
+    yet, or at ``mmax`` the coefficients themselves, since nothing reads
+    them afterwards; the lattice loop passes a new array.
 
     Position 0 holds the DC magnitude |c[0]| (the estimate itself); the
     other magnitudes are ranked largest first, so the dyadic position
@@ -165,7 +180,7 @@ def _block_sums(coeffs: np.ndarray, m: int) -> np.ndarray:
     are negated, sorted ascending and negated back in one contiguous
     array: a sum over a reversed view would round differently.
     """
-    mags = np.abs(coeffs)
+    np.abs(coeffs, out=mags)
     tail = mags[1:]
     np.negative(tail, out=tail)
     tail.sort()
@@ -195,6 +210,12 @@ def _certified_bound(sums: np.ndarray, m: int, fudge: Callable) -> float:
 # the points, the measure map and the integrand to work in cache, large
 # enough that the per-call overhead of numpy stays negligible.
 _EVAL_CHUNK = 1 << 15
+
+# numpy sums a contiguous float64 array pairwise, and splits a power-of-two
+# length above this block into its exact halves, so the sum of such a level
+# is the sum of its old half plus the sum of its refining block, bit for
+# bit.  A level of this many values or fewer is summed from its values.
+_PAIRWISE_BLOCK = 128
 
 
 def _eval_chunk(unit_points, to_box, f, m: int, indices: np.ndarray,
@@ -242,18 +263,38 @@ def _adaptive_cubature(unit_points, to_box, f, params: QmcParams,
     t_start = time.perf_counter()
     mmin, mmax = params.mmin, params.mmax
     m = mmin
-    yvals = np.empty(1 << m)
-    fill(m, 0, 1, yvals)
+    n = 1 << m
     if use_fft:
-        coeffs = np.fft.fft(yvals) / yvals.size
+        yvals = np.empty(n)
+        fill(m, 0, 1, yvals)
+        coeffs = np.fft.fft(yvals) / n
     else:
-        coeffs = _walsh_coeffs(yvals)
+        # the values, summed and then transformed in place; ``yvals`` keeps
+        # the values of a level whose sum is not the sum of its halves
+        coeffs = np.empty(n)
+        fill(m, 0, 1, coeffs)
+        yvals = coeffs.copy() if n <= _PAIRWISE_BLOCK else None
+        ysum = np.add.reduce(coeffs)
+        fwht_inplace(coeffs)
+        coeffs /= n
 
     exitflag = 0
     while True:
-        sums = _block_sums(coeffs, m)
+        if use_fft:
+            sums = _block_sums(coeffs, m, np.empty(n))
+            q = float(np.mean(yvals))
+        else:
+            if m < mmax:
+                # Double the buffer in place (realloc, no copy of the old
+                # half).  No view of ``coeffs`` lives across this call, so
+                # the reference check, which a tracer's or debugger's own
+                # references would trip, is not needed.
+                coeffs.resize(2 * n, refcheck=False)
+                sums = _block_sums(coeffs[:n], m, coeffs[n:])
+            else:
+                sums = _block_sums(coeffs, m, coeffs)
+            q = float(ysum / n)
         bound = _certified_bound(sums, m, params.fudge)
-        q = float(np.mean(yvals))
         if cone_check(sums, params.fudge):
             exitflag |= 2
         if bound <= tolfun(params.tol, abs(q)):
@@ -262,7 +303,6 @@ def _adaptive_cubature(unit_points, to_box, f, params: QmcParams,
             exitflag |= 1
             break
         # extend to level m+1: evaluate the refining half, merge transforms
-        n = 1 << m
         if use_fft:
             # the odd natural indices at level m+1
             ynew = np.empty(n)
@@ -270,13 +310,17 @@ def _adaptive_cubature(unit_points, to_box, f, params: QmcParams,
             coeffs = _merge_fft(coeffs, ynew)
             yvals = _interleave(yvals, ynew)
         else:
-            # the next block of net indices, [2^m, 2^(m+1))
-            grown = np.empty(2 * n)
-            grown[:n] = yvals
-            yvals = grown
-            fill(m + 1, n, 1, yvals[n:])
-            coeffs = _merge_fwht(coeffs, yvals[n:])
+            # the next block of net indices, [2^m, 2^(m+1)), in the upper
+            # half of the grown buffer
+            fill(m + 1, n, 1, coeffs[n:])
+            if 2 * n <= _PAIRWISE_BLOCK:
+                yvals = np.concatenate((yvals, coeffs[n:]))
+                ysum = np.add.reduce(yvals)
+            else:
+                ysum = ysum + np.add.reduce(coeffs[n:])
+            _merge_fwht(coeffs)
         m += 1
+        n *= 2
 
     return QmcResult(
         q=q, n=1 << m, bound_err=float(bound), exitflag=exitflag,
@@ -290,13 +334,6 @@ def _interleave(old: np.ndarray, new: np.ndarray) -> np.ndarray:
     out[0::2] = old
     out[1::2] = new
     return out
-
-
-def _walsh_coeffs(yvals: np.ndarray) -> np.ndarray:
-    a = yvals.astype(float, copy=True)
-    fwht_inplace(a)
-    a /= yvals.size
-    return a
 
 
 def _merge_fft(coeffs: np.ndarray, ynew: np.ndarray) -> np.ndarray:
@@ -315,28 +352,27 @@ def _merge_fft(coeffs: np.ndarray, ynew: np.ndarray) -> np.ndarray:
     return out
 
 
-def _merge_fwht(coeffs: np.ndarray, ynew: np.ndarray) -> np.ndarray:
-    """Walsh coefficients at level m+1: 0.5 * (c + new, c - new), where
-    ``new`` holds the coefficients of the refining block of values.
+def _merge_fwht(buf: np.ndarray) -> None:
+    """Walsh coefficients at level m+1, in place.
 
-    ``new`` is transformed in the upper half of the output; the scaling,
-    the butterfly and the halving then run one cache-sized chunk at a
-    time.
+    ``buf`` holds the level-m coefficients c in its lower half and the
+    refining block of values in its upper half.  The values are
+    transformed where they are, to ``new``; the scaling, the butterfly
+    0.5 * (c + new, c - new) and the halving then run one cache-sized
+    chunk at a time, with one chunk of scratch for c - new.
     """
-    n = coeffs.size
-    out = np.empty(2 * n)
-    upper = out[n:]
-    upper[...] = ynew
+    n = buf.size // 2
+    coeffs, upper = buf[:n], buf[n:]
     fwht_inplace(upper)
+    scratch = np.empty(min(n, _EVAL_CHUNK))
     for lo in range(0, n, _EVAL_CHUNK):
         hi = min(lo + _EVAL_CHUNK, n)
-        c, new, low = coeffs[lo:hi], upper[lo:hi], out[lo:hi]
+        c, new, diff = coeffs[lo:hi], upper[lo:hi], scratch[:hi - lo]
         new /= n
-        np.add(c, new, out=low)
-        np.subtract(c, new, out=new)
-        low *= 0.5
-        new *= 0.5
-    return out
+        np.subtract(c, new, out=diff)
+        c += new
+        c *= 0.5
+        np.multiply(diff, 0.5, out=new)
 
 
 # ---------------------------------------------------------------------------

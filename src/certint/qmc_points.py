@@ -287,7 +287,8 @@ def _check_pow2(n: int) -> None:
 
 
 # Stages whose blocks of 2h elements fit in this many elements run one chunk
-# at a time, so that a chunk stays in cache across those stages.
+# at a time, so that a chunk stays in cache across those stages.  The
+# scratch buffer holds at most this many elements whatever the length.
 _FWHT_CHUNK = 1 << 16
 # Stages with h below this run as h pairs of 1-d strided views; a 2-d view
 # of rows of length h would pay one inner loop per row of h elements.
@@ -299,13 +300,16 @@ def fwht_inplace(values: np.ndarray) -> np.ndarray:
 
     Stage h (h = 1, 2, 4, ...) replaces each pair (l, r) that is h apart
     within a block of 2h by (l + r, l - r).  ``l - r`` goes to a scratch
-    buffer reused by every stage, then ``l += r`` and the scratch is copied
-    into ``r``.  The small stages h < 16 take the pairs as strided views,
-    one per offset o < h: ``l = a[o::2h]`` and ``r = a[o+h::2h]``; the
-    larger stages take them as the two halves of each row of the
-    (n / 2h, 2h) view.  The stages with 2h <= 2^16 run chunk by chunk; the
-    rest run over the whole array.  Applying the transform twice
-    multiplies the input by its length.
+    buffer of at most ``_FWHT_CHUNK`` elements reused by every stage, then
+    ``l += r`` and the scratch is copied into ``r``.  The small stages
+    h < 16 take the pairs as strided views, one per offset o < h:
+    ``l = a[o::2h]`` and ``r = a[o+h::2h]``; the larger stages take them
+    as the two halves of each row of the (n / 2h, 2h) view, a block of rows
+    or a piece of one row's halves at a time, so that the pairs of one
+    block fit the scratch.  The stages with 2h <= 2^16 run chunk by chunk;
+    the rest run over the whole array.  Every pair is computed by the same
+    two operations whatever the blocking, so the result does not depend on
+    it.  Applying the transform twice multiplies the input by its length.
     """
     a = np.asarray(values)
     if a.ndim != 1:
@@ -313,7 +317,7 @@ def fwht_inplace(values: np.ndarray) -> np.ndarray:
     n = a.shape[0]
     _check_pow2(n)
     chunk = min(n, _FWHT_CHUNK)
-    scratch = np.empty(n // 2, dtype=a.dtype)
+    scratch = np.empty(min(n // 2, _FWHT_CHUNK), dtype=a.dtype)
     for lo in range(0, n, chunk):
         _fwht_stages(a[lo:lo + chunk], 1, chunk, scratch)
     _fwht_stages(a, chunk, n, scratch)
@@ -334,13 +338,18 @@ def _fwht_stages(a: np.ndarray, h: int, stop: int,
             right[...] = diff
         h *= 2
     while h < stop:
-        view = a.reshape(-1, 2 * h)
-        left = view[:, :h]
-        right = view[:, h:]
-        diff = scratch[:half].reshape(-1, h)
-        np.subtract(left, right, out=diff)
-        left += right
-        right[...] = diff
+        # pieces of w elements of each half, as many rows as fit the scratch
+        w = min(h, scratch.shape[0])
+        rows = scratch.shape[0] // w
+        pairs = a.reshape(-1, 2, h // w, w)
+        for r in range(0, pairs.shape[0], rows):
+            for k in range(h // w):
+                left = pairs[r:r + rows, 0, k]
+                right = pairs[r:r + rows, 1, k]
+                diff = scratch[:left.size].reshape(left.shape)
+                np.subtract(left, right, out=diff)
+                left += right
+                right[...] = diff
         h *= 2
 
 

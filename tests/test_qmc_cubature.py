@@ -27,6 +27,7 @@ from certint import (
 )
 from certint.qmc_cubature import (
     _EVAL_CHUNK,
+    _PAIRWISE_BLOCK,
     _block_sums,
     _certified_bound,
     _merge_fft,
@@ -71,15 +72,25 @@ class TestBlockSumsOracle:
         coeffs[rng.integers(0, n, size=max(1, n // 8))] = 0.0
         want_sums, want_bound = _argsort_block_sums_and_bound(
             coeffs, m, default_fudge)
-        got_sums = _block_sums(coeffs, m)
-        assert np.array_equal(got_sums.view(np.uint64),
-                              want_sums.view(np.uint64))
-        got_bound = _certified_bound(got_sums, m, default_fudge)
-        assert got_bound.hex() == want_bound.hex()
+        if kind == "complex":
+            # the lattice loop: magnitudes into a new array
+            places = [(coeffs, np.empty(n))]
+        else:
+            # the Sobol' loop: magnitudes into the upper half of the grown
+            # buffer, or at mmax over the coefficients themselves
+            grown = np.concatenate([coeffs, np.empty(n)])
+            own = coeffs.copy()
+            places = [(grown[:n], grown[n:]), (own, own)]
+        for src, mags in places:
+            got_sums = _block_sums(src, m, mags)
+            assert np.array_equal(got_sums.view(np.uint64),
+                                  want_sums.view(np.uint64))
+            got_bound = _certified_bound(got_sums, m, default_fudge)
+            assert got_bound.hex() == want_bound.hex()
 
     def test_leaves_coefficients_untouched(self):
         coeffs = np.array([3.0, -1.0, 2.0, -2.0])
-        _block_sums(coeffs, 2)
+        _block_sums(coeffs, 2, np.empty(4))
         assert coeffs.tolist() == [3.0, -1.0, 2.0, -2.0]
 
 
@@ -322,9 +333,22 @@ class TestChunkedEvaluation:
             solver(f, UNIT2, self.BUDGET, RngStream(4))
         assert len(f.chunks) == nan_call
 
+    @staticmethod
+    def _traced_peak(solver, box, params, f):
+        """tracemalloc peak of one run that the budget stops at mmax."""
+        solver(f, box, QmcParams(mmin=1, mmax=1), RngStream(1))
+        tracemalloc.start()
+        try:
+            res = solver(f, box, params, RngStream(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.n == 2**params.mmax and res.exitflag & 1
+        return peak
+
     def test_peak_memory_does_not_grow_with_dimension(self):
         # In units of one float64 array of the final 2^18 points: the
-        # level buffers take about 3 (Sobol') and 5 (lattice, complex
+        # level buffers take about 1 (Sobol') and 5 (lattice, complex
         # coefficients), one chunk of 8 coordinates about 1.  Whole
         # (2^m, 8) arrays would add 8 units per array.
         unit = 8 * 2**18
@@ -333,15 +357,85 @@ class TestChunkedEvaluation:
         params = QmcParams(tol=ToleranceSpec(1e-14, 0.0), mmin=10, mmax=18)
         f = lambda x: np.prod(x * x, axis=1)
         for solver, limit in ((cub_sobol, 5), (cub_lattice, 8)):
-            solver(f, box, QmcParams(mmin=1, mmax=1), RngStream(1))
-            tracemalloc.start()
-            try:
-                res = solver(f, box, params, RngStream(1))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert res.n == 2**18 and res.exitflag & 1
+            peak = self._traced_peak(solver, box, params, f)
             assert peak < limit * unit, (solver.__name__, peak / unit)
+
+    def test_peak_memory_of_the_level_buffers(self):
+        # d = 1, so the level buffers dominate.  In units of one float64
+        # array of the final 2^20 points: the Sobol' loop holds one buffer
+        # that doubles in place (about 1.1 with the chunk's arrays; a value
+        # array next to the coefficients and their magnitudes would make
+        # 3); the lattice holds the values, the complex coefficients and
+        # the magnitudes (about 5).
+        unit = 8 * 2**20
+        box = Hyperbox([-math.inf], [math.inf], Measure.NORMAL)
+        params = QmcParams(tol=ToleranceSpec(1e-14, 0.0), mmin=10, mmax=20)
+        f = lambda x: x[:, 0] ** 2
+        for solver, limit in ((cub_sobol, 2), (cub_lattice, 5.5)):
+            peak = self._traced_peak(solver, box, params, f)
+            assert peak < limit * unit, (solver.__name__, peak / unit)
+
+
+def _walsh_coeffs_reference(yvals):
+    """Level coefficients from a copy of the values."""
+    a = yvals.copy()
+    fwht_inplace(a)
+    a /= yvals.size
+    return a
+
+
+def _merge_fwht_reference(coeffs, ynew):
+    """Level m+1 coefficients in a new array, from the level-m ones and a
+    transformed copy of the refining values."""
+    n = coeffs.size
+    new = ynew.copy()
+    fwht_inplace(new)
+    new /= n
+    return 0.5 * np.concatenate([coeffs + new, coeffs - new])
+
+
+class TestRunningSum:
+    """The Sobol' estimate is a running sum of the blocks' sums.  It equals
+    the mean of all the values bit for bit, also where a run crosses the
+    level of ``_PAIRWISE_BLOCK`` values, at or below which numpy's pairwise
+    sum does not split in halves and the level's values are kept."""
+
+    def test_pairwise_sum_splits_in_halves(self):
+        # the running sum rests on this property of numpy; a numpy that
+        # sums otherwise fails here first
+        rng = np.random.default_rng(0)
+        for k in range(_PAIRWISE_BLOCK.bit_length(), 21):
+            n = 1 << k
+            y = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, size=n)
+            halves = np.add.reduce(y[:n // 2]) + np.add.reduce(y[n // 2:])
+            assert float(np.add.reduce(y)).hex() == float(halves).hex(), n
+
+    @pytest.mark.parametrize("mmax", [10, 11, 12])
+    @pytest.mark.parametrize("mmin", [1, 6, 7, 8])
+    def test_matches_mean_and_reference(self, mmin, mmax):
+        values = []
+
+        def f(x):
+            y = np.exp(4.0 * x[:, 0]) * np.sin(7.0 * x[:, 1]) + 1e3 * x[:, 1]
+            values.append(y.copy())
+            return y
+
+        params = QmcParams(tol=ToleranceSpec(1e-300, 0.0), mmin=mmin,
+                           mmax=mmax)
+        res = cub_sobol(f, UNIT2, params, RngStream(mmin * mmax))
+        assert res.n == 2**mmax and res.exitflag & 1
+        # the unit box has volume 1.0, so the recorded values are the
+        # integrand the cubature averages
+        y = np.concatenate(values)
+        assert res.q.hex() == float(np.mean(y)).hex()
+        coeffs = _walsh_coeffs_reference(y[:2**mmin])
+        for m in range(mmin, mmax):
+            coeffs = _merge_fwht_reference(coeffs, y[2**m:2**(m + 1)])
+        sums, bound = _argsort_block_sums_and_bound(coeffs, mmax,
+                                                    default_fudge)
+        assert [v.hex() for v in res.extra["block_sums"]] == \
+            [float(v).hex() for v in sums]
+        assert res.bound_err.hex() == bound.hex()
 
 
 class TestMergeOracle:
@@ -357,7 +451,8 @@ class TestMergeOracle:
         fwht_inplace(new)
         new /= n
         want = 0.5 * np.concatenate([coeffs + new, coeffs - new])
-        got = _merge_fwht(coeffs, ynew)
+        got = np.concatenate([coeffs, ynew])
+        _merge_fwht(got)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("n", [1, 8, 2**17])

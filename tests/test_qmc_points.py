@@ -3,6 +3,7 @@
 import itertools
 import os
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from certint import (
     periodize,
 )
 from certint.qmc_points import (
+    _FWHT_CHUNK,
     SOBOL_MAX_BITS,
     _cache,
     periodizer_map_weight,
@@ -217,6 +219,20 @@ class TestTransforms:
         got = fwht_inplace(v)
         assert got is v
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_fwht_scratch_is_one_chunk(self):
+        # the scratch holds _FWHT_CHUNK elements whatever the length (half
+        # the length would be 4 MiB here); numpy's iterator buffers of
+        # 3 x 8192 elements for the 2-d views add a fixed 192 KiB
+        v = np.ones(2**20)
+        fwht_inplace(v)
+        tracemalloc.start()
+        try:
+            fwht_inplace(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * _FWHT_CHUNK + 2**18, peak
 
     def test_fwht_rejects_non_power(self):
         with pytest.raises(ConfigurationError):
