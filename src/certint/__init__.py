@@ -33,6 +33,7 @@ from .montecarlo import (
     kurtosis_bound,
     mean_mc,
     mean_mc_ber,
+    measure_map,
     two_stage_n,
 )
 from .qmc_cubature import (
@@ -42,7 +43,6 @@ from .qmc_cubature import (
     cub_lattice,
     cub_sobol,
     default_fudge,
-    measure_map,
 )
 from .qmc_points import (
     LatticeGenerator,

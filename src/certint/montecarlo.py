@@ -1,22 +1,34 @@
 """Guaranteed Monte Carlo estimation.
 
-:func:`mean_mc` implements the two-stage scheme: a first stage of
-``n_sig`` draws produces a variance estimate, inflated by ``fudge`` into a
-reliable upper bound on the true standard deviation (valid whenever the
-modified kurtosis stays below the bound reported as ``kurtmax``); the
-mean stage then sizes its batches from Chebyshev's inequality and a
-Berry-Esseen-corrected normal bound, iterating until the certified
-half-width meets the generalized tolerance at the current estimate.
+:func:`mean_mc` implements the two-stage scheme of Hickernell, Jiang, Liu
+& Owen (2013): a first stage of ``n_sig`` draws produces a variance
+estimate, inflated by ``fudge`` into a reliable upper bound on the true
+standard deviation (valid whenever the modified kurtosis stays below the
+bound reported as ``kurtmax``); the mean stage then sizes its draws from
+Chebyshev's inequality and a Berry-Esseen-corrected normal bound.
 
 The overall uncertainty ``alpha`` is split multiplicatively: the variance
 stage consumes ``alpha_sigma = 1 - sqrt(1 - alpha)`` and the mean stage
-the complement, which is then spread over iterations geometrically
-(iteration t gets a ``2^-t`` share), so a union bound preserves the
-``1 - alpha`` coverage.
+the complement ``alpha_mu``.  When the tolerance does not depend on the
+estimate (``Max`` with ``reltol == 0``, ``Comb`` with ``theta == 1`` or
+``reltol == 0``), the mean stage is one step of ``two_stage_n`` draws
+that gets all of ``alpha_mu``; no uncertainty is left for a second step,
+so a step whose half-width misses the tolerance (the budget cut it)
+raises exit flag 1.  Otherwise the mean stage iterates until the
+certified half-width meets the generalized tolerance at the current
+estimate, and iteration t gets a ``2^-t`` share of ``alpha_mu``.  Either
+way a union bound preserves the ``1 - alpha`` coverage.
+
+The draws are reduced in chunks of ``_CHUNK``.  The variance stage takes
+each chunk's sum of squared deviations from its own mean and merges the
+chunks with the pairwise update of Chan, Golub & LeVeque (1983), so a
+large offset does not cancel the variance; the mean stage and the
+Bernoulli solver only sum.
 
 :func:`mean_mc_ber` is the deterministic-cost Bernoulli special case via
 Hoeffding's inequality, and :func:`cub_mc` reduces hyperbox cubature
-(uniform or Gaussian measure) to a mean estimation problem.
+(uniform or Gaussian measure) to a mean estimation problem through
+:func:`measure_map`, the box map the quasi-Monte Carlo cubatures share.
 
 Sampler callbacks take ``(n, generator)`` and must return ``n`` values;
 all randomness flows from the :class:`~certint.core.RngStream` handed to
@@ -33,7 +45,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .core import Budget, RngStream, SolverDiagnostics, ToleranceSpec, tolfun
+from .core import (Budget, RngStream, SolverDiagnostics, ToleranceSpec,
+                   TolType, tolfun)
 from .errors import ConfigurationError, EvaluationError
 
 __all__ = [
@@ -41,6 +54,7 @@ __all__ = [
     "McParams",
     "Hyperbox",
     "Measure",
+    "measure_map",
     "hoeffding_n",
     "mean_mc_ber",
     "two_stage_n",
@@ -52,7 +66,7 @@ __all__ = [
 _BERRY_ESSEEN_C = 0.56
 _MIN_SAMPLE = 30
 _MAX_ITER = 1000
-_CHUNK = 1 << 24
+_CHUNK = 1 << 16
 
 
 class CheckStatus(enum.IntEnum):
@@ -69,7 +83,13 @@ class Measure(enum.Enum):
 
 @dataclass(frozen=True)
 class McParams:
-    """Tolerances, uncertainty, and budgets for the Monte Carlo solvers."""
+    """Tolerances, uncertainty, and budgets for the Monte Carlo solvers.
+
+    ``n_sig`` is the size of the variance stage.  ``n1`` is the first
+    mean-stage step of a tolerance that depends on the estimate
+    (``reltol > 0``); a fixed tolerance sizes its single step from the
+    variance estimate instead.
+    """
 
     tol: ToleranceSpec = field(default_factory=ToleranceSpec)
     alpha: float = 0.01
@@ -126,6 +146,24 @@ class Hyperbox:
 
     def volume(self) -> float:
         return float(np.prod(self.upper - self.lower))
+
+
+def measure_map(points: np.ndarray, box: Hyperbox):
+    """Map unit-cube points into the hyperbox of the given measure.
+
+    Uniform: affine map, scale = volume.  Normal: inverse normal CDF per
+    coordinate (arguments clamped away from 0), scale = 1.  ``points`` is
+    never written to.
+    """
+    pts = np.asarray(points, dtype=float)
+    if box.measure is Measure.UNIFORM:
+        width = box.upper - box.lower
+        return box.lower + width * pts, box.volume()
+    # periodizers may round a coordinate to exactly 0.0 or 1.0; clamp to
+    # the nearest representable interior values so the inverse CDF stays
+    # finite
+    clipped = np.clip(pts, np.finfo(float).tiny, np.nextafter(1.0, 0.0))
+    return ndtri(clipped, out=clipped), 1.0
 
 
 def hoeffding_n(abstol: float, alpha: float) -> int:
@@ -205,13 +243,26 @@ def _half_width(n: int, alpha: float, sigtilde: float, kurtmax: float) -> float:
     return min(w_cheb, w_be)
 
 
-def _draw_mean(yrand, n: int, gen, what: str, binary: bool = False):
-    """Mean of n draws, chunked; validates finiteness (and {0,1} values)."""
+def _draw_mean(yrand, n: int, gen, what: str, variance: bool = False,
+               binary: bool = False):
+    """Mean of n draws, reduced in chunks of ``_CHUNK``, and with
+    ``variance`` their sample variance (else None).
+
+    Each chunk is checked for finiteness (and with ``binary`` for {0,1}
+    values).  The variance centres each chunk on its own mean in a scratch
+    buffer, never in the sampler's array, and merges the chunks' sums of
+    squared deviations by the pairwise update of Chan, Golub & LeVeque
+    (1983), so it does not cancel under a large offset.  Data that really
+    is constant gives a zero variance whenever its chunk sums are exact
+    (every deviation is then 0.0, as for 2.5 or 1e8); otherwise its
+    variance is at the rounding level of the chunk mean.
+    """
     total = 0.0
-    sq = 0.0
-    left = n
-    while left > 0:
-        take = min(left, _CHUNK)
+    m2 = 0.0
+    scratch = np.empty(min(n, _CHUNK)) if variance else None
+    done = 0
+    while done < n:
+        take = min(n - done, _CHUNK)
         y = np.asarray(yrand(take, gen), dtype=float)
         if y.shape != (take,):
             raise EvaluationError(f"{what}: sampler returned shape {y.shape}, "
@@ -222,12 +273,18 @@ def _draw_mean(yrand, n: int, gen, what: str, binary: bool = False):
             raise EvaluationError(f"{what}: sampler returned NaN or Inf")
         if binary and not np.all((y == 0.0) | (y == 1.0)):
             raise EvaluationError(f"{what}: Bernoulli sampler must return 0/1 values")
+        if variance:
+            chunk_mean = chunk_sum / take
+            dev = np.subtract(y, chunk_mean, out=scratch[:take])
+            chunk_m2 = float(np.dot(dev, dev))
+            if done:
+                delta = chunk_mean - total / done
+                chunk_m2 += delta * delta * (done * take / (done + take))
+            m2 += chunk_m2
         total += chunk_sum
-        sq += float(np.sum(y * y))
-        left -= take
-    mean = total / n
-    var = max(0.0, (sq - n * mean * mean) / (n - 1)) if n > 1 else 0.0
-    return mean, var
+        done += take
+    var = (m2 / (n - 1) if n > 1 else 0.0) if variance else None
+    return total / n, var
 
 
 def mean_mc_ber(yrand, abstol: float = 1e-2, alpha: float = 0.01,
@@ -263,6 +320,14 @@ def mean_mc_ber(yrand, abstol: float = 1e-2, alpha: float = 0.01,
     return p_hat, diag
 
 
+def _fixed_tolerance(spec: ToleranceSpec) -> float:
+    """The tolerance when it does not depend on the estimate, else 0.0."""
+    if spec.reltol == 0.0 or (spec.toltype is TolType.COMB
+                              and spec.theta == 1.0):
+        return tolfun(spec, 0.0)
+    return 0.0
+
+
 def mean_mc(yrand, params: McParams, rng: RngStream):
     """Mean of a random variable to within the generalized tolerance.
 
@@ -270,15 +335,25 @@ def mean_mc(yrand, params: McParams, rng: RngStream):
     ``(hmu, diagnostics)``: ``hmu`` is the sample mean of the last
     mean-stage step, and ``extra`` carries the iteration history (``tau``
     steps of sizes ``n`` with means ``hmu`` and half-widths ``tol``) plus
-    ``var``, ``kurtmax``, ``nremain``, ``ntot`` and ``n_up``.  Exit flag 1
-    means the sample or time budget ran out before the tolerance was
-    certified.
+    ``var``, ``kurtmax``, ``nremain``, ``ntot`` and ``n_up``.
+
+    A tolerance that does not depend on the estimate is met in one step of
+    ``two_stage_n(var, fudge, tol, alpha_mu, kurtmax)`` draws, capped by the
+    budgets; ``n_up`` is then the planned total ``n_sig`` plus that count.
+    Otherwise the first step has ``n1`` draws at ``alpha_mu / 2``, each
+    later step half the uncertainty of the one before, and ``n_up`` is
+    ``n_sig + n1`` plus the second step's count as planned from the first
+    estimate (None while that estimate gives no positive tolerance).
+    Exit flag 1 means the sample or time budget ran out before the
+    tolerance was certified.
     """
     t_start = time.perf_counter()
     gen = rng.generator()
     spec = params.tol
 
-    _, var_hat = _draw_mean(yrand, params.n_sig, gen, "mean_mc")
+    _, var_hat = _draw_mean(yrand, params.n_sig, gen, "mean_mc", variance=True)
+    if not math.isfinite(var_hat):
+        raise EvaluationError("mean_mc: the variance of the draws overflows")
     sigtilde = params.fudge * math.sqrt(var_hat)
     alpha_sigma = 1.0 - math.sqrt(1.0 - params.alpha)
     alpha_mu = 1.0 - math.sqrt(1.0 - params.alpha)
@@ -287,14 +362,20 @@ def mean_mc(yrand, params: McParams, rng: RngStream):
     ntot = params.n_sig
     n_hist, hmu_hist, tol_hist = [], [], []
     exit_flags = 0
-    n_next = params.n1
+    fixed_tol = _fixed_tolerance(spec)
+    if fixed_tol > 0:
+        n_next = two_stage_n(var_hat, params.fudge, fixed_tol, alpha_mu,
+                             kurtmax)
+        n_up = params.n_sig + n_next
+    else:
+        n_next = params.n1
+        n_up = None
     w_prev = math.inf
     hmu = 0.0
     width = math.inf
-    n_up = None
 
     for t in range(1, _MAX_ITER + 1):
-        alpha_t = alpha_mu * 0.5**t
+        alpha_t = alpha_mu if fixed_tol > 0 else alpha_mu * 0.5**t
         elapsed = time.perf_counter() - t_start
         nremain = params.budget.nbudget - ntot
         if elapsed > 0 and ntot > 0:
@@ -317,13 +398,17 @@ def mean_mc(yrand, params: McParams, rng: RngStream):
         hmu_hist.append(hmu)
         tol_hist.append(width)
         tol_t = tolfun(spec, abs(hmu))
-        if t == 1 and tol_t > 0:
+        if n_up is None and t == 1 and tol_t > 0:
             n_up = params.n_sig + params.n1 + two_stage_n(
                 var_hat, params.fudge, tol_t, alpha_mu * 0.25, kurtmax)
         if truncated:
             exit_flags |= 1
             break
         if width <= tol_t:
+            break
+        if fixed_tol > 0:
+            # the step had all of alpha_mu, so none is left for another
+            exit_flags |= 1
             break
         if tol_t <= 0:
             # pure relative tolerance around a zero estimate: no finite
@@ -381,20 +466,11 @@ def cub_mc(f, box: Hyperbox, params: McParams, rng: RngStream):
         return float("nan"), diag
 
     d = box.dimension
-    if box.measure is Measure.UNIFORM:
-        width = box.upper - box.lower
-        volume = box.volume()
+    volume = box.volume() if box.measure is Measure.UNIFORM else 1.0
 
-        def yrand(n, gen):
-            pts = box.lower + width * gen.random((n, d))
-            return volume * _eval_integrand(f, pts, "cub_mc")
-    else:
-        volume = 1.0
-
-        def yrand(n, gen):
-            u = gen.random((n, d))
-            np.clip(u, np.finfo(float).tiny, None, out=u)
-            return _eval_integrand(f, ndtri(u), "cub_mc")
+    def yrand(n, gen):
+        pts, scale = measure_map(gen.random((n, d)), box)
+        return scale * _eval_integrand(f, pts, "cub_mc")
 
     q, diag = mean_mc(yrand, params, rng)
     diag.algorithm = "cub_mc"

@@ -55,11 +55,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtri
 
 from .core import RngStream, ToleranceSpec, tolfun
 from .errors import ConfigurationError, EvaluationError
-from .montecarlo import Hyperbox, Measure
+# the engine looks measure_map up by this module's name
+from .montecarlo import Hyperbox, measure_map
 from .qmc_points import (
     LATTICE_MAX_DIM,
     LATTICE_MAX_M,
@@ -77,7 +77,6 @@ __all__ = [
     "QmcResult",
     "default_fudge",
     "cone_check",
-    "measure_map",
     "cub_lattice",
     "cub_sobol",
 ]
@@ -137,24 +136,6 @@ def cone_check(block_sums, fudge: Callable) -> bool:
         if np.all(s[fine] > limits):
             return True
     return False
-
-
-def measure_map(points: np.ndarray, box: Hyperbox):
-    """Map unit-cube points into the hyperbox of the given measure.
-
-    Uniform: affine map, scale = volume.  Normal: inverse normal CDF per
-    coordinate (arguments clamped away from 0), scale = 1.  ``points`` is
-    never written to.
-    """
-    pts = np.asarray(points, dtype=float)
-    if box.measure is Measure.UNIFORM:
-        width = box.upper - box.lower
-        return box.lower + width * pts, box.volume()
-    # periodizers may round a coordinate to exactly 0.0 or 1.0; clamp to
-    # the nearest representable interior values so the inverse CDF stays
-    # finite
-    clipped = np.clip(pts, np.finfo(float).tiny, np.nextafter(1.0, 0.0))
-    return ndtri(clipped, out=clipped), 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from certint import (
     Measure,
     RngStream,
     ToleranceSpec,
+    TolType,
     cub_mc,
     hoeffding_n,
     kurtosis_bound,
@@ -146,6 +147,126 @@ class TestDrawMean:
         assert mean == math.inf
 
 
+    def test_variance_survives_a_large_offset(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
+        draws = 1e8 + RngStream(2).generator().random(10_000)
+        _, var = montecarlo._draw_mean(
+            lambda n, g: 1e8 + g.random(n), 10_000, RngStream(2).generator(),
+            "test", variance=True)
+        # 1e8 + u - 1e8 is exact, so the two-pass variance is the oracle;
+        # the merge differences chunk means that are only resolved to
+        # ulp(1e8) = 1.5e-8, which bounds the agreement
+        assert var == pytest.approx(np.var(draws - 1e8, ddof=1), rel=1e-8)
+
+    def test_chunk_merge_matches_one_chunk(self, monkeypatch):
+        y = lambda n, g: np.exp(3.0 * g.random(n))
+        _, whole = montecarlo._draw_mean(y, 5_000, RngStream(4).generator(),
+                                         "test", variance=True)
+        monkeypatch.setattr(montecarlo, "_CHUNK", 64)
+        _, merged = montecarlo._draw_mean(y, 5_000, RngStream(4).generator(),
+                                          "test", variance=True)
+        assert merged == pytest.approx(whole, rel=1e-13)
+
+    @pytest.mark.parametrize("c", [2.5, 1e8, -7.0])
+    def test_constant_data_has_zero_variance(self, monkeypatch, c):
+        monkeypatch.setattr(montecarlo, "_CHUNK", 300)
+        mean, var = montecarlo._draw_mean(lambda n, g: np.full(n, c), 1_000,
+                                          RngStream(1).generator(), "test",
+                                          variance=True)
+        assert (mean, var) == (c, 0.0)
+
+    def test_sampler_array_is_not_written(self):
+        kept = []
+
+        def yrand(n, gen):
+            y = gen.random(n)
+            kept.append((y, y.copy()))
+            return y
+        montecarlo._draw_mean(yrand, 100, RngStream(1).generator(), "test",
+                              variance=True)
+        assert all(np.array_equal(y, copy) for y, copy in kept)
+
+    def test_variance_only_on_request(self):
+        _, var = montecarlo._draw_mean(lambda n, g: g.random(n), 100,
+                                       RngStream(1).generator(), "test")
+        assert var is None
+
+
+def _alpha_mu(alpha):
+    return 1.0 - math.sqrt(1.0 - alpha)
+
+
+# Tolerances that do not depend on the estimate, with their value.
+_FIXED_SPECS = [
+    (ToleranceSpec(1e-3, 0.0), 1e-3),
+    (ToleranceSpec(1e-3, 0.5, TolType.COMB, theta=1.0), 1e-3),
+    (ToleranceSpec(2e-3, 0.0, TolType.COMB, theta=0.5), 1e-3),
+]
+
+
+class TestFixedToleranceStep:
+    """A fixed tolerance is met in one step that gets all of alpha_mu."""
+
+    @pytest.mark.parametrize("spec, tol", _FIXED_SPECS)
+    def test_one_step_of_two_stage_n(self, spec, tol):
+        params = McParams(tol=spec, alpha=0.05)
+        tmu, diag = mean_mc(lambda n, g: g.random(n)**2, params, RngStream(5))
+        x = diag.extra
+        want = two_stage_n(x["var"], params.fudge, tol, _alpha_mu(0.05),
+                           x["kurtmax"])
+        assert x["tau"] == 1
+        assert x["n"] == [want]
+        assert x["n_up"] == x["ntot"] == params.n_sig + want
+        assert diag.exit_flags == 0
+        assert diag.errest <= tol
+        assert abs(tmu - 1 / 3) <= tol
+
+    @pytest.mark.parametrize("spec, tol", _FIXED_SPECS)
+    def test_binding_budget_flags_the_single_step(self, spec, tol):
+        nbudget = 50_000
+        params = McParams(tol=spec, alpha=0.05, budget=Budget(nbudget=nbudget))
+        _, diag = mean_mc(lambda n, g: g.random(n)**2, params, RngStream(5))
+        x = diag.extra
+        assert diag.exit_flags == 1
+        assert x["tau"] == 1
+        assert x["n"] == [nbudget - params.n_sig]
+        assert x["ntot"] == nbudget
+        assert x["n_up"] > nbudget
+        assert diag.errest > tol
+
+    def test_relative_tolerance_starts_with_n1(self):
+        params = McParams(tol=ToleranceSpec(1e-3, 1e-2), alpha=0.05)
+        tmu, diag = mean_mc(lambda n, g: g.random(n)**2, params, RngStream(5))
+        x = diag.extra
+        assert x["n"][0] == params.n1
+        assert x["tau"] >= 2
+        assert x["n_up"] == params.n_sig + params.n1 + two_stage_n(
+            x["var"], params.fudge, 1e-2 * abs(x["hmu"][0]),
+            _alpha_mu(0.05) * 0.25, x["kurtmax"])
+        assert diag.exit_flags == 0
+
+    def test_zero_tolerance_runs_to_the_budget(self):
+        spec = ToleranceSpec(0.0, 0.0, TolType.COMB, theta=0.5)
+        params = McParams(tol=spec, budget=Budget(nbudget=100_000))
+        _, diag = mean_mc(lambda n, g: g.random(n), params, RngStream(1))
+        assert diag.exit_flags == 1
+        assert diag.extra["ntot"] == 100_000
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4, 1e8])
+def test_no_silent_miss_under_an_offset(offset):
+    """y = offset + U: the variance must not cancel into a zero that
+    certifies a 30-draw mean (it did at 1e8 for 12 of these 20 seeds)."""
+    y = lambda n, g: offset + g.random(n)
+    for abstol in (1e-2, 1e-4):
+        params = McParams(tol=ToleranceSpec(abstol, 0.0))
+        for seed in range(1, 21):
+            tmu, diag = mean_mc(y, params, RngStream(seed))
+            assert diag.extra["var"] > 0.0
+            assert diag.exit_flags == 0
+            assert abs(tmu - (offset + 0.5)) <= abstol, (abstol, seed)
+
+
 class TestMeanMc:
     def test_u_squared(self):
         params = McParams(tol=ToleranceSpec(1e-3, 0.0), alpha=0.05)
@@ -190,6 +311,12 @@ class TestMeanMc:
         tmu, diag = mean_mc(lambda n, g: np.full(n, 2.5), params, RngStream(1))
         assert tmu == 2.5
         assert diag.iterations == 1
+
+    def test_overflowing_variance_is_an_error(self):
+        params = McParams(tol=ToleranceSpec(1e-3, 0.0))
+        with pytest.raises(EvaluationError, match="overflows"):
+            with np.errstate(over="ignore"):
+                mean_mc(lambda n, g: 1e200 * g.random(n), params, RngStream(1))
 
     def test_budget_exhaustion(self):
         params = McParams(tol=ToleranceSpec(1e-6, 0.0),
