@@ -363,7 +363,8 @@ def mean_mc(yrand, params: McParams, rng: RngStream):
     n_hist, hmu_hist, tol_hist = [], [], []
     exit_flags = 0
     fixed_tol = _fixed_tolerance(spec)
-    if fixed_tol > 0:
+    one_step = fixed_tol > 0
+    if one_step:
         n_next = two_stage_n(var_hat, params.fudge, fixed_tol, alpha_mu,
                              kurtmax)
         n_up = params.n_sig + n_next
@@ -375,7 +376,7 @@ def mean_mc(yrand, params: McParams, rng: RngStream):
     width = math.inf
 
     for t in range(1, _MAX_ITER + 1):
-        alpha_t = alpha_mu if fixed_tol > 0 else alpha_mu * 0.5**t
+        alpha_t = alpha_mu if one_step else alpha_mu * 0.5**t
         elapsed = time.perf_counter() - t_start
         nremain = params.budget.nbudget - ntot
         if elapsed > 0 and ntot > 0:
@@ -406,7 +407,7 @@ def mean_mc(yrand, params: McParams, rng: RngStream):
             break
         if width <= tol_t:
             break
-        if fixed_tol > 0:
+        if one_step:
             # the step had all of alpha_mu, so none is left for another
             exit_flags |= 1
             break
