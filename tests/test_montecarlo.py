@@ -256,7 +256,7 @@ class TestFixedToleranceStep:
 @pytest.mark.parametrize("offset", [0.0, 1e4, 1e8])
 def test_no_silent_miss_under_an_offset(offset):
     """y = offset + U: the variance must not cancel into a zero that
-    certifies a 30-draw mean (it did at 1e8 for 12 of these 20 seeds)."""
+    certifies a 30-draw mean."""
     y = lambda n, g: offset + g.random(n)
     for abstol in (1e-2, 1e-4):
         params = McParams(tol=ToleranceSpec(abstol, 0.0))
