@@ -23,6 +23,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 from scipy.special import erf, ndtr, ndtri
@@ -75,9 +76,52 @@ class RunReport:
 
 
 def _dump_json(payload, path: str) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    """Write ``json.dumps(payload, sort_keys=True, indent=2)`` and a newline.
+
+    With ``indent`` set, json encodes element by element in pure Python.
+    Here a flat list of numbers (a ``--grid`` holds thousands) goes
+    through json's C encoder in one call and is re-joined with the same
+    separators and indentation; strings and finite numbers are written
+    as json writes them, and anything else is left to json itself.
+    """
+    parts = []
+    _encode(payload, "\n", parts)
+    parts.append("\n")
     with open(path, "w") as fh:
-        fh.write(text + "\n")
+        fh.write("".join(parts))
+
+
+def _encode(obj, newline: str, parts: list) -> None:
+    """Append the ``indent=2`` encoding of ``obj``, whose later lines
+    start with ``newline`` (a newline and the current indentation)."""
+    inner = newline + "  "
+    kind = type(obj)
+    if kind is str:
+        parts.append(encode_basestring_ascii(obj))
+    elif kind is int or (kind is float and math.isfinite(obj)):
+        parts.append(repr(obj))
+    elif kind is dict and obj and all(type(k) is str for k in obj):
+        sep = "{" + inner
+        for key in sorted(obj):
+            parts.append(sep + encode_basestring_ascii(key) + ": ")
+            _encode(obj[key], inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+    elif kind in (list, tuple) and obj:
+        if set(map(type, obj)) <= {float, int}:
+            items = json.dumps(obj)[1:-1].split(", ")
+            parts.append("[" + inner + ("," + inner).join(items) + newline + "]")
+            return
+        sep = "[" + inner
+        for item in obj:
+            parts.append(sep)
+            _encode(item, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "]")
+    else:
+        # True, False, None, NaN, +-Inf, empty containers, other types
+        parts.append(json.dumps(obj, sort_keys=True, indent=2)
+                     .replace("\n", newline))
 
 
 # ---------------------------------------------------------------------------

@@ -50,12 +50,15 @@ class ToleranceSpec:
             raise ConfigurationError(f"reltol must be in [0,1], got {self.reltol}")
         if not (0.0 <= self.theta <= 1.0):
             raise ConfigurationError(f"theta must be in [0,1], got {self.theta}")
-        if self.toltype is TolType.MAX:
-            if self.abstol == 0.0 and self.reltol == 0.0:
-                raise ConfigurationError(
-                    "with toltype 'max', abstol and reltol cannot both be 0"
-                )
-        elif self.toltype is TolType.COMB:
+        if self.toltype not in (TolType.MAX, TolType.COMB):
+            raise ConfigurationError(f"unknown toltype {self.toltype!r}")
+        # a tolerance of 0 at every estimate could never be met
+        if self.abstol == 0.0 and self.reltol == 0.0:
+            raise ConfigurationError(
+                f"with toltype '{self.toltype.value}', abstol and reltol "
+                "cannot both be 0"
+            )
+        if self.toltype is TolType.COMB:
             if self.theta == 1.0 and self.abstol == 0.0:
                 raise ConfigurationError(
                     "with toltype 'comb' and theta = 1, abstol cannot be 0"
@@ -64,8 +67,6 @@ class ToleranceSpec:
                 raise ConfigurationError(
                     "with toltype 'comb' and theta = 0, reltol cannot be 0"
                 )
-        else:
-            raise ConfigurationError(f"unknown toltype {self.toltype!r}")
 
 
 def tolfun(spec: ToleranceSpec, mu_abs: float) -> float:

@@ -320,12 +320,12 @@ def mean_mc_ber(yrand, abstol: float = 1e-2, alpha: float = 0.01,
     return p_hat, diag
 
 
-def _fixed_tolerance(spec: ToleranceSpec) -> float:
-    """The tolerance when it does not depend on the estimate, else 0.0."""
+def _fixed_tolerance(spec: ToleranceSpec) -> float | None:
+    """The tolerance when it does not depend on the estimate, else None."""
     if spec.reltol == 0.0 or (spec.toltype is TolType.COMB
                               and spec.theta == 1.0):
         return tolfun(spec, 0.0)
-    return 0.0
+    return None
 
 
 def mean_mc(yrand, params: McParams, rng: RngStream):
@@ -363,7 +363,7 @@ def mean_mc(yrand, params: McParams, rng: RngStream):
     n_hist, hmu_hist, tol_hist = [], [], []
     exit_flags = 0
     fixed_tol = _fixed_tolerance(spec)
-    one_step = fixed_tol > 0
+    one_step = fixed_tol is not None
     if one_step:
         n_next = two_stage_n(var_hat, params.fudge, fixed_tol, alpha_mu,
                              kurtmax)

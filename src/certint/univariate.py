@@ -3,10 +3,13 @@
 Three adaptive solvers share the same data-driven machinery:
 
 * :func:`funappx` -- locally adaptive piecewise-linear approximation.
-  Each subinterval carries its own uniform grid and cone constant; a
-  subinterval is certified once its estimated sup-norm interpolation
-  error falls below ``abstol``, and is otherwise split at its midpoint
-  (both halves regridded with ``ninit`` fresh points).
+  Each subinterval carries its own uniform grid of ``ninit`` points and
+  its own cone constant; a subinterval is certified once its estimated
+  sup-norm interpolation error falls below ``abstol``, and is otherwise
+  split at its midpoint.  A split adds the midpoints of the parent's
+  cells, so each half is half of the parent's knots plus new points, and
+  every abscissa is evaluated once.  The subintervals of one round are
+  (k, ``ninit``) arrays, checked and split together.
 * :func:`funmin` -- global minimum value plus the subset of [a, b]
   certified to contain every global minimizer, on a uniform grid that
   doubles until the function-value gap or the candidate-set length is
@@ -30,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import Budget, SolverDiagnostics
 from .errors import ConfigurationError, EvaluationError
@@ -52,8 +56,10 @@ _MAX_CONE_DOUBLINGS = 64
 class IntervalProblem:
     """A univariate problem: batched callback ``f`` on [a, b] with budgets.
 
-    ``f`` must accept an ndarray of abscissae and return an equal-length
-    ndarray of values; it is assumed pure.
+    ``f`` must accept a 1-d ndarray of abscissae and return an
+    equal-length ndarray of values; it is assumed pure.  The solvers call
+    it once per round: :func:`funappx` with all of that round's new
+    midpoints in ascending order.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -140,42 +146,56 @@ def _call_f(f, xs: np.ndarray, what: str) -> np.ndarray:
 _CURVATURE_INFLATION = 1.1
 
 
-class _Sub:
-    """One subinterval with its own grid and cone constant."""
+def _cone_rows(xs, ys, nstar):
+    """Cone check and error estimate of each row of a (..., n) grid.
 
-    __slots__ = ("t0", "t1", "xs", "ys", "nstar", "errest", "needs_split")
-
-    def __init__(self, f, t0, t1, ninit, nstar):
-        self.t0 = t0
-        self.t1 = t1
-        self.xs = np.linspace(t0, t1, ninit)
-        self.ys = _call_f(f, self.xs, "funappx")
-        length = t1 - t0
-        h = length / (ninit - 1)
-        second = self.ys[:-2] - 2.0 * self.ys[1:-1] + self.ys[2:]
-        big_f = np.max(np.abs(second)) / (h * h) if second.size else 0.0
-        slopes = np.diff(self.ys) / h
-        secant = (self.ys[-1] - self.ys[0]) / length
-        v = np.max(np.abs(slopes - secant))
-        # data version of the cone inequality ||f''|| <= (2 nstar / len) v,
-        # with the slope deviation corrected for what sampling can hide
-        violated = big_f * length > 2.0 * nstar * (v + 0.5 * h * big_f)
-        if violated:
-            for _ in range(_MAX_CONE_DOUBLINGS):
-                nstar *= 2
-                if big_f * length <= 2.0 * nstar * (v + 0.5 * h * big_f):
-                    break
-        self.nstar = nstar
-        # absent a violation big_f <= cone_cap, so the cap can shave at
-        # most the inflation and never undercuts the data bound
-        cone_cap = 2.0 * nstar * (v + 0.5 * h * big_f) / length
-        f_hat = min(_CURVATURE_INFLATION * big_f, max(cone_cap, big_f))
-        self.errest = f_hat * h * h / 8.0
-        self.needs_split = violated
+    Each row is a uniform grid on [row[0], row[-1]] with its own cone
+    constant in ``nstar``.  Returns ``(nstar, errest, violated)``:
+    ``nstar`` doubled, row by row, until the row's data satisfy the cone
+    inequality, and ``violated`` marks the rows that had to double.
+    """
+    length = xs[..., -1] - xs[..., 0]
+    h = length / (xs.shape[-1] - 1)
+    second = ys[..., :-2] - 2.0 * ys[..., 1:-1]
+    second += ys[..., 2:]
+    big_f = np.max(np.abs(second, out=second), axis=-1) / (h * h)
+    # max |slope - secant| sits at the steepest or the flattest step;
+    # rounding is monotone, so this equals the elementwise maximum
+    steps = np.diff(ys, axis=-1)
+    secant = (ys[..., -1] - ys[..., 0]) / length
+    v = np.maximum(np.abs(np.max(steps, axis=-1) / h - secant),
+                   np.abs(secant - np.min(steps, axis=-1) / h))
+    # data version of the cone inequality ||f''|| <= (2 nstar / len) v,
+    # with the slope deviation corrected for what sampling can hide
+    lhs = big_f * length
+    slack = v + 0.5 * h * big_f
+    violated = lhs > 2.0 * nstar * slack
+    nstar = nstar.copy()
+    short = violated
+    for _ in range(_MAX_CONE_DOUBLINGS):
+        if not short.any():
+            break
+        nstar[short] *= 2
+        short = short & ~(lhs <= 2.0 * nstar * slack)
+    # absent a violation big_f <= cone_cap, so the cap can shave at
+    # most the inflation and never undercuts the data bound
+    cone_cap = 2.0 * nstar * slack / length
+    f_hat = np.minimum(_CURVATURE_INFLATION * big_f,
+                       np.maximum(cone_cap, big_f))
+    return nstar, f_hat * h * h / 8.0, violated
 
 
 def funappx(p: IntervalProblem):
     """Locally adaptive linear-spline approximation of ``p.f`` on [a, b].
+
+    Every subinterval is a uniform grid of ``ninit`` points with its own
+    cone constant ``nstar``.  A round splits each pending subinterval
+    (errest above ``abstol``, or ``nstar`` just doubled) into two halves
+    of ``ninit`` points: the parent's knots plus its cell midpoints.
+    ``p.f`` is called once per round, with all of that round's new
+    midpoints in ascending order, so no abscissa is evaluated twice and
+    ``n_evals == n_points``.  When the point budget cannot pay for every
+    pending split, only the leftmost ones that fit are made.
 
     Returns ``(approx, diagnostics)``.  Exit flag bit 1 (value 1) marks an
     exhausted point budget, bit 2 (value 2) an exhausted iteration budget;
@@ -185,49 +205,63 @@ def funappx(p: IntervalProblem):
     t_start = time.perf_counter()
     ninit = ninit_rule(p.nlo, p.nhi, p.a, p.b)
     nstar0 = ninit - 2
-    subs = [_Sub(p.f, p.a, p.b, ninit, nstar0)]
-    n_evals = ninit
+    xs = np.linspace(p.a, p.b, ninit)[None, :]
+    ys = _call_f(p.f, xs[0], "funappx")[None, :]
+    b_end = xs[0, -1], ys[0, -1]     # every split keeps the last knot
+    # a float64 nstar stays exact: it starts as an integer and only doubles
+    nstar = np.array([float(nstar0)])
+    final = []      # (xs, ys, nstar, errest) blocks of finished subintervals
     npoints = ninit
     exit_flags = 0
     iters = 0
+    cut = False     # the point budget stopped the last round's splits
 
     while True:
-        pending = [s for s in subs
-                   if s.errest > p.abstol or s.needs_split]
-        if not pending:
-            break
-        if iters >= p.budget.maxiter:
+        nstar, errest, violated = _cone_rows(xs, ys, nstar)
+        pending = (violated | (errest > p.abstol)) & (not cut)
+        if pending.any() and iters >= p.budget.maxiter:
             exit_flags |= 2
+            pending[...] = False
+        final.append(tuple(a[~pending] for a in (xs, ys, nstar, errest)))
+        if not pending.any():
             break
+        xs, ys, nstar, errest = (a[pending] for a in (xs, ys, nstar, errest))
         iters += 1
-        out_of_budget = False
-        new_subs = []
-        for s in subs:
-            if not out_of_budget and (s.errest > p.abstol or s.needs_split):
-                if npoints + (ninit - 1) > p.budget.nmax:
-                    exit_flags |= 1
-                    out_of_budget = True
-                    new_subs.append(s)
-                    continue
-                mid = 0.5 * (s.t0 + s.t1)
-                left = _Sub(p.f, s.t0, mid, ninit, s.nstar)
-                right = _Sub(p.f, mid, s.t1, ninit, s.nstar)
-                n_evals += 2 * ninit
-                npoints += ninit - 1
-                new_subs.extend((left, right))
-            else:
-                new_subs.append(s)
-        subs = new_subs
-        if out_of_budget:
-            break
+        room = max((p.budget.nmax - npoints) // (ninit - 1), 0)
+        if xs.shape[0] > room:
+            exit_flags |= 1
+            cut = True
+            final.append(tuple(a[room:] for a in (xs, ys, nstar, errest)))
+            xs, ys, nstar = xs[:room], ys[:room], nstar[:room]
+            if room == 0:
+                break
+        npoints += xs.shape[0] * (ninit - 1)
+        wide_x, wide_y = _doubled_grid(p.f, xs, ys, "funappx")
+        # the halves of row i are the windows [i, 0] and [i, 1] of ninit
+        # points at offsets 0 and ninit - 1 of its doubled grid
+        xs = sliding_window_view(wide_x, ninit, axis=1)[:, ::ninit - 1]
+        ys = sliding_window_view(wide_y, ninit, axis=1)[:, ::ninit - 1]
+        nstar = np.repeat(nstar[:, None], 2, axis=1)
 
-    knots = np.concatenate([s.xs[:-1] for s in subs] + [subs[-1].xs[-1:]])
-    values = np.concatenate([s.ys[:-1] for s in subs] + [subs[-1].ys[-1:]])
-    approx = PiecewiseLinearApprox(knots, values)
-    errest = max(s.errest for s in subs)
+    # the blocks interleave in x: put every row at its rank by left end
+    x0 = np.concatenate([block[0][:, 0] for block in final])
+    rank = np.empty(x0.size, dtype=np.intp)
+    rank[np.argsort(x0)] = np.arange(x0.size)
+    nstar = np.empty(x0.size)
+    nstar[rank] = np.concatenate([block[2] for block in final])
+    errest = float(np.concatenate([block[3] for block in final]).max())
+    knots = np.empty(npoints)
+    values = np.empty(npoints)
+    knots[-1], values[-1] = b_end
+    start = 0
+    for bx, by, _, _ in final:
+        at = rank[start:start + bx.shape[0]]
+        start += bx.shape[0]
+        knots[:-1].reshape(-1, ninit - 1)[at] = bx[:, :-1]
+        values[:-1].reshape(-1, ninit - 1)[at] = by[:, :-1]
     diag = SolverDiagnostics(
         algorithm="funappx",
-        n_evals=n_evals,
+        n_evals=npoints,
         n_points=npoints,
         iterations=iters,
         errest=errest,
@@ -235,13 +269,13 @@ def funappx(p: IntervalProblem):
         elapsed_seconds=time.perf_counter() - t_start,
         extra={
             "ninit": ninit,
-            "nstar": [s.nstar for s in subs],
-            "tauchange": any(s.nstar != nstar0 for s in subs),
-            "n_subintervals": len(subs),
+            "nstar": [int(c) for c in nstar.tolist()],
+            "tauchange": bool(np.any(nstar != nstar0)),
+            "n_subintervals": x0.size,
             "abstol": p.abstol,
         },
     )
-    return approx, diag
+    return PiecewiseLinearApprox(knots, values), diag
 
 
 def eval_approx(approx: PiecewiseLinearApprox, xs) -> np.ndarray:
@@ -266,13 +300,15 @@ def eval_approx(approx: PiecewiseLinearApprox, xs) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _doubled_grid(f, xs, ys, what):
-    """Insert midpoints into a uniform grid, reusing existing values."""
-    mids = 0.5 * (xs[:-1] + xs[1:])
-    ymid = _call_f(f, mids, what)
-    nx = np.empty(xs.size * 2 - 1)
+    """Insert midpoints into each row of a (..., n) uniform grid, reusing
+    the existing values; ``f`` gets every midpoint in one call, row after
+    row."""
+    mids = 0.5 * (xs[..., :-1] + xs[..., 1:])
+    ymid = _call_f(f, mids.ravel(), what).reshape(mids.shape)
+    nx = np.empty(xs.shape[:-1] + (2 * xs.shape[-1] - 1,))
     ny = np.empty_like(nx)
-    nx[0::2], nx[1::2] = xs, mids
-    ny[0::2], ny[1::2] = ys, ymid
+    nx[..., 0::2], nx[..., 1::2] = xs, mids
+    ny[..., 0::2], ny[..., 1::2] = ys, ymid
     return nx, ny
 
 

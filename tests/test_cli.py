@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from certint import QmcParams
-from certint.cli import _fixtures, run
+from certint.cli import _dump_json, _fixtures, run
 
 
 class TestSubcommands:
@@ -106,6 +106,34 @@ class TestJson:
         run(args + ["--json", str(p1)])
         run(args + ["--json", str(p2)])
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestDumpJson:
+    """``_dump_json`` writes exactly what ``json.dumps(indent=2)`` writes."""
+
+    @pytest.mark.parametrize("payload", [
+        {"xs": [], "ys": [], "empty": {}, "nested": [[]]},
+        [[1.5, 2], [[0.1, -3]], [], [{"b": [1.0], "a": None}]],
+        {"v": [float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 7]},
+        {"mixed": [1.0, True, None, "a, b", 2], "n": {"z": 1, "y": 2.5}},
+        {"keys": {2: [1.0], 1: "x"}, "tuple": (0.5, 3)},
+        {"big": [10**400, -1], "text": ["\u00e9 \"q\"\n", "\t"], "one": 10**400},
+        [], {}, 0.1, "text", None,
+    ])
+    def test_matches_indented_dumps(self, tmp_path, payload):
+        path = tmp_path / "out.json"
+        _dump_json(payload, str(path))
+        want = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        assert path.read_text() == want
+
+    def test_grid_report(self, tmp_path):
+        path = tmp_path / "grid.json"
+        assert run(["funappx", "--f", "sin(3*x)", "--a", "-1", "--b", "2",
+                    "--grid", "257", "--json", str(path)]) == 0
+        report = json.loads(path.read_text())
+        assert len(report["grid"]["xs"]) == 257
+        want = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        assert path.read_text() == want
 
 
 class TestQmcIterations:

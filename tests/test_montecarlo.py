@@ -245,12 +245,11 @@ class TestFixedToleranceStep:
             _alpha_mu(0.05) * 0.25, x["kurtmax"])
         assert diag.exit_flags == 0
 
-    def test_zero_tolerance_runs_to_the_budget(self):
-        spec = ToleranceSpec(0.0, 0.0, TolType.COMB, theta=0.5)
-        params = McParams(tol=spec, budget=Budget(nbudget=100_000))
-        _, diag = mean_mc(lambda n, g: g.random(n), params, RngStream(1))
-        assert diag.exit_flags == 1
-        assert diag.extra["ntot"] == 100_000
+    def test_zero_tolerance_rejected(self):
+        # a tolerance of 0 at every estimate could never be met
+        for theta in (0.0, 0.25, 0.5, 1.0):
+            with pytest.raises(ConfigurationError, match="cannot both be 0"):
+                ToleranceSpec(0.0, 0.0, TolType.COMB, theta=theta)
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e4, 1e8])

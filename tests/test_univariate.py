@@ -18,7 +18,8 @@ from certint import (
     integral,
     ninit_rule,
 )
-from certint.univariate import _merge_cells
+from certint.univariate import _CURVATURE_INFLATION, _call_f, _merge_cells
+from test_acceptance import _cone_family
 
 
 class TestNinitRule:
@@ -81,6 +82,7 @@ class TestFunappx:
         approx, diag = funappx(p)
         assert diag.exit_flags & 1
         assert diag.n_points <= 500
+        assert diag.n_evals == diag.n_points == approx.knots.size
 
     def test_maxiter_exit(self):
         p = IntervalProblem(f=lambda x: np.sin(40 * x), a=0, b=4, abstol=1e-9,
@@ -118,6 +120,109 @@ class TestFunappx:
             assert diag.exit_flags == 0
             sup = np.max(np.abs(approx(grid) - f(grid)))
             assert sup <= diag.errest <= 1e-6
+
+
+    def test_each_abscissa_evaluated_once(self):
+        seen = []
+
+        def f(x):
+            seen.append(np.array(x))
+            return np.sin(6 * x) + x**2
+
+        approx, diag = funappx(IntervalProblem(f=f, a=-1, b=2, abstol=1e-7))
+        assert diag.iterations >= 3
+        assert len(seen) == diag.iterations + 1
+        for xs in seen:
+            assert np.all(np.diff(xs) > 0)
+        every = np.concatenate(seen)
+        assert np.unique(every).size == every.size
+        assert diag.n_evals == diag.n_points == approx.knots.size == every.size
+        assert np.array_equal(np.sort(every), approx.knots)
+
+    @pytest.mark.parametrize("nmax", [120, 500, 1000, 1089])
+    def test_budget_cut_matches_reference(self, nmax):
+        # budgets that bind in the middle of a round, on its last point
+        # (nmax 1000, ninit 10) and before the first split (nmax 120,
+        # ninit 64)
+        for ninit_cap in (10, 100):
+            p = IntervalProblem(f=lambda x: np.sin(40 * x), a=0, b=4,
+                                abstol=1e-9, nhi=ninit_cap,
+                                budget=Budget(nmax=nmax))
+            _assert_same_run(p)
+
+    @pytest.mark.parametrize("maxiter", [1, 3, 5])
+    def test_maxiter_matches_reference(self, maxiter):
+        p = IntervalProblem(f=lambda x: np.sin(40 * x), a=0, b=4, abstol=1e-9,
+                            budget=Budget(maxiter=maxiter))
+        _assert_same_run(p)
+
+    @pytest.mark.parametrize("abstol", [1e-4, 1e-6, 1e-8])
+    def test_cone_family_matches_reference(self, abstol):
+        for f in _cone_family(200, np.random.default_rng(20150314)):
+            _assert_same_run(IntervalProblem(f=f, abstol=abstol))
+
+
+def _reference_funappx(p: IntervalProblem):
+    """The per-subinterval funappx the array version replaced: each split
+    regrids both halves with ``ninit`` fresh points and calls ``f`` once
+    per half.  Returns (iterations, nstar, n_subintervals, exit_flags,
+    errest)."""
+    ninit = ninit_rule(p.nlo, p.nhi, p.a, p.b)
+
+    def sub(t0, t1, nstar):
+        xs = np.linspace(t0, t1, ninit)
+        ys = _call_f(p.f, xs, "funappx")
+        length = t1 - t0
+        h = length / (ninit - 1)
+        second = ys[:-2] - 2.0 * ys[1:-1] + ys[2:]
+        big_f = np.max(np.abs(second)) / (h * h)
+        v = np.max(np.abs(np.diff(ys) / h - (ys[-1] - ys[0]) / length))
+        violated = big_f * length > 2.0 * nstar * (v + 0.5 * h * big_f)
+        if violated:
+            for _ in range(64):
+                nstar *= 2
+                if big_f * length <= 2.0 * nstar * (v + 0.5 * h * big_f):
+                    break
+        cone_cap = 2.0 * nstar * (v + 0.5 * h * big_f) / length
+        f_hat = min(_CURVATURE_INFLATION * big_f, max(cone_cap, big_f))
+        return [t0, t1, nstar, f_hat * h * h / 8.0, violated]
+
+    subs = [sub(p.a, p.b, ninit - 2)]
+    npoints, exit_flags, iters = ninit, 0, 0
+    pending = lambda s: s[3] > p.abstol or s[4]
+    while any(pending(s) for s in subs):
+        if iters >= p.budget.maxiter:
+            exit_flags |= 2
+            break
+        iters += 1
+        new_subs = []
+        for s in subs:
+            if not exit_flags & 1 and pending(s):
+                if npoints + (ninit - 1) > p.budget.nmax:
+                    exit_flags |= 1
+                    new_subs.append(s)
+                    continue
+                mid = 0.5 * (s[0] + s[1])
+                new_subs += [sub(s[0], mid, s[2]), sub(mid, s[1], s[2])]
+                npoints += ninit - 1
+            else:
+                new_subs.append(s)
+        subs = new_subs
+        if exit_flags & 1:
+            break
+    return (iters, [s[2] for s in subs], len(subs), exit_flags,
+            max(s[3] for s in subs))
+
+
+def _assert_same_run(p: IntervalProblem):
+    iters, nstar, nsub, flags, errest = _reference_funappx(p)
+    approx, diag = funappx(p)
+    assert diag.iterations == iters
+    assert diag.extra["nstar"] == nstar
+    assert diag.extra["n_subintervals"] == nsub
+    assert diag.exit_flags == flags
+    assert diag.errest == pytest.approx(errest, rel=1e-6, abs=1e-300)
+    assert diag.n_evals == diag.n_points == approx.knots.size
 
 
 class TestEvalApprox:
