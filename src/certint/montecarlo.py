@@ -9,15 +9,30 @@ Chebyshev's inequality and a Berry-Esseen-corrected normal bound.
 
 The overall uncertainty ``alpha`` is split multiplicatively: the variance
 stage consumes ``alpha_sigma = 1 - sqrt(1 - alpha)`` and the mean stage
-the complement ``alpha_mu``.  When the tolerance does not depend on the
-estimate (``Max`` with ``reltol == 0``, ``Comb`` with ``theta == 1`` or
-``reltol == 0``), the mean stage is one step of ``two_stage_n`` draws
-that gets all of ``alpha_mu``; no uncertainty is left for a second step,
-so a step whose half-width misses the tolerance (the budget cut it)
-raises exit flag 1.  Otherwise the mean stage iterates until the
-certified half-width meets the generalized tolerance at the current
-estimate, and iteration t gets a ``2^-t`` share of ``alpha_mu``.  Either
-way a union bound preserves the ``1 - alpha`` coverage.
+the complement ``alpha_mu``.  The mean stage is planned from the variance
+stage, whose draws give both the variance and a first mean ``m0``:
+
+* The floor ``tolfun(spec, 0)`` (``abstol`` under ``Max``, theta
+  ``abstol`` under ``Comb``) is no larger than the tolerance at any
+  estimate.  One step of ``n_floor = two_stage_n(var, fudge, floor,
+  alpha_mu, kurtmax)`` draws that gets all of ``alpha_mu`` therefore
+  certifies whatever it estimates.
+* A relative step is sized pessimistically: for the tolerance at the
+  smallest magnitude the estimate is likely to have, ``|m| - w`` with
+  ``w`` the half-width of the mean ``m`` it plans from.  The first such
+  step (``n_rel``) plans from ``m0``; if that tolerance is 0 (a pure
+  relative tolerance around a zero mean) it falls back to ``n1`` draws,
+  and a later one doubles the step before it.
+
+The mean stage takes the floor step when ``n_floor <= n_rel``, which a
+tolerance that does not depend on the estimate always does.  Otherwise
+it iterates relative steps until the certified half-width meets the
+tolerance at the current estimate, and step t gets a ``2^-t`` share of
+``alpha_mu``.  Each step's size and uncertainty depend only on earlier
+draws, and the mean stage spends at most ``alpha_mu`` either way, so a
+union bound preserves the ``1 - alpha`` coverage.  A floor step that the
+budget cut short has no uncertainty left for another and raises exit
+flag 1.
 
 The draws are reduced in chunks of ``_CHUNK``.  The variance stage takes
 each chunk's sum of squared deviations from its own mean and merges the
@@ -46,7 +61,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .core import (Budget, RngStream, SolverDiagnostics, ToleranceSpec,
-                   TolType, tolfun)
+                   tolfun)
 from .errors import ConfigurationError, EvaluationError
 
 __all__ = [
@@ -85,10 +100,10 @@ class Measure(enum.Enum):
 class McParams:
     """Tolerances, uncertainty, and budgets for the Monte Carlo solvers.
 
-    ``n_sig`` is the size of the variance stage.  ``n1`` is the first
-    mean-stage step of a tolerance that depends on the estimate
-    (``reltol > 0``); a fixed tolerance sizes its single step from the
-    variance estimate instead.
+    ``n_sig`` is the size of the variance stage.  The mean stage sizes
+    its steps from the variance stage; ``n1`` is only the fallback first
+    step when that plans no positive tolerance (a pure relative tolerance
+    around a zero mean).
     """
 
     tol: ToleranceSpec = field(default_factory=ToleranceSpec)
@@ -218,7 +233,9 @@ def two_stage_n(var_hat: float, fudge: float, tolfun_val: float,
 
     The smaller of the Chebyshev count and the Berry-Esseen count (both
     are valid), floored at 30; a degenerate variance estimate clamps to
-    the floor.
+    the floor.  The certified half-width of the returned count,
+    ``_half_width(n, alpha_mu, fudge * sqrt(var_hat), kurtmax)``, never
+    exceeds ``tolfun_val``.
     """
     if tolfun_val <= 0 or not (0 < alpha_mu < 1):
         raise ConfigurationError("tolfun_val and alpha_mu must be positive")
@@ -227,8 +244,15 @@ def two_stage_n(var_hat: float, fudge: float, tolfun_val: float,
     sigtilde2 = fudge * fudge * var_hat
     n_cheb = math.ceil(sigtilde2 / (alpha_mu * tolfun_val * tolfun_val))
     n_be = _berry_esseen_n(math.sqrt(sigtilde2), tolfun_val, alpha_mu, kurtmax)
-    n = min(float(n_cheb), n_be)
-    return max(_MIN_SAMPLE, int(n))
+    n = max(_MIN_SAMPLE, int(min(float(n_cheb), n_be)))
+    # the two counts are rounded apart from the half-width, which can come
+    # out an ulp above the tolerance once n nears 1e12; a draw or two more
+    # brings it back under
+    sigtilde = fudge * math.sqrt(var_hat)
+    while n < 2**53 and _half_width(n, alpha_mu, sigtilde,
+                                    kurtmax) > tolfun_val:
+        n += 1
+    return n
 
 
 def _half_width(n: int, alpha: float, sigtilde: float, kurtmax: float) -> float:
@@ -320,14 +344,6 @@ def mean_mc_ber(yrand, abstol: float = 1e-2, alpha: float = 0.01,
     return p_hat, diag
 
 
-def _fixed_tolerance(spec: ToleranceSpec) -> float | None:
-    """The tolerance when it does not depend on the estimate, else None."""
-    if spec.reltol == 0.0 or (spec.toltype is TolType.COMB
-                              and spec.theta == 1.0):
-        return tolfun(spec, 0.0)
-    return None
-
-
 def mean_mc(yrand, params: McParams, rng: RngStream):
     """Mean of a random variable to within the generalized tolerance.
 
@@ -337,41 +353,44 @@ def mean_mc(yrand, params: McParams, rng: RngStream):
     steps of sizes ``n`` with means ``hmu`` and half-widths ``tol``) plus
     ``var``, ``kurtmax``, ``nremain``, ``ntot`` and ``n_up``.
 
-    A tolerance that does not depend on the estimate is met in one step of
-    ``two_stage_n(var, fudge, tol, alpha_mu, kurtmax)`` draws, capped by the
-    budgets; ``n_up`` is then the planned total ``n_sig`` plus that count.
-    Otherwise the first step has ``n1`` draws at ``alpha_mu / 2``, each
-    later step half the uncertainty of the one before, and ``n_up`` is
-    ``n_sig + n1`` plus the second step's count as planned from the first
-    estimate (None while that estimate gives no positive tolerance).
-    Exit flag 1 means the sample or time budget ran out before the
-    tolerance was certified.
+    The mean stage is one floor step of ``n_floor`` draws at all of
+    ``alpha_mu`` when that is no more than the first relative step
+    ``n_rel``, and relative steps at ``alpha_mu * 2^-t`` otherwise (see
+    the module docstring).  Step t+1 is sized for
+    ``tolfun(spec, max(|hmu_t| - width_t, 0))`` at ``alpha_mu * 2^-(t+1)``,
+    so that it meets the tolerance at its own estimate too.  ``n_up`` is
+    the planned total, ``n_sig`` plus the first planned step.  Exit flag 1
+    means the sample or time budget ran out before the tolerance was
+    certified.
     """
     t_start = time.perf_counter()
     gen = rng.generator()
     spec = params.tol
+    fudge = params.fudge
 
-    _, var_hat = _draw_mean(yrand, params.n_sig, gen, "mean_mc", variance=True)
+    m0, var_hat = _draw_mean(yrand, params.n_sig, gen, "mean_mc",
+                             variance=True)
     if not math.isfinite(var_hat):
         raise EvaluationError("mean_mc: the variance of the draws overflows")
-    sigtilde = params.fudge * math.sqrt(var_hat)
+    sigtilde = fudge * math.sqrt(var_hat)
     alpha_sigma = 1.0 - math.sqrt(1.0 - params.alpha)
     alpha_mu = 1.0 - math.sqrt(1.0 - params.alpha)
-    kurtmax = kurtosis_bound(params.n_sig, alpha_sigma, params.fudge)
+    kurtmax = kurtosis_bound(params.n_sig, alpha_sigma, fudge)
+
+    floor = tolfun(spec, 0.0)
+    n_floor = (two_stage_n(var_hat, fudge, floor, alpha_mu, kurtmax)
+               if floor > 0 else math.inf)
+    w0 = _half_width(params.n_sig, alpha_mu * 0.5, sigtilde, kurtmax)
+    tol_lo = tolfun(spec, max(abs(m0) - w0, 0.0))
+    n_rel = (two_stage_n(var_hat, fudge, tol_lo, alpha_mu * 0.5, kurtmax)
+             if tol_lo > 0 else params.n1)
+    one_step = n_floor <= n_rel
+    n_next = n_floor if one_step else n_rel
+    n_up = params.n_sig + n_next
 
     ntot = params.n_sig
     n_hist, hmu_hist, tol_hist = [], [], []
     exit_flags = 0
-    fixed_tol = _fixed_tolerance(spec)
-    one_step = fixed_tol is not None
-    if one_step:
-        n_next = two_stage_n(var_hat, params.fudge, fixed_tol, alpha_mu,
-                             kurtmax)
-        n_up = params.n_sig + n_next
-    else:
-        n_next = params.n1
-        n_up = None
-    w_prev = math.inf
     hmu = 0.0
     width = math.inf
 
@@ -398,30 +417,23 @@ def mean_mc(yrand, params: McParams, rng: RngStream):
         n_hist.append(n_t)
         hmu_hist.append(hmu)
         tol_hist.append(width)
-        tol_t = tolfun(spec, abs(hmu))
-        if n_up is None and t == 1 and tol_t > 0:
-            n_up = params.n_sig + params.n1 + two_stage_n(
-                var_hat, params.fudge, tol_t, alpha_mu * 0.25, kurtmax)
         if truncated:
             exit_flags |= 1
             break
-        if width <= tol_t:
+        if width <= tolfun(spec, abs(hmu)):
             break
         if one_step:
             # the step had all of alpha_mu, so none is left for another
             exit_flags |= 1
             break
-        if tol_t <= 0:
+        tol_lo = tolfun(spec, max(abs(hmu) - width, 0.0))
+        if tol_lo > 0:
+            n_next = two_stage_n(var_hat, fudge, tol_lo, alpha_t * 0.5,
+                                 kurtmax)
+        else:
             # pure relative tolerance around a zero estimate: no finite
             # target yet, grow geometrically until the budget objects
             n_next = max(2 * n_t, _MIN_SAMPLE)
-        else:
-            alpha_next = alpha_t * 0.5
-            n_next = two_stage_n(var_hat, params.fudge, tol_t, alpha_next, kurtmax)
-            if math.isfinite(w_prev) and width < math.inf:
-                n_next = max(n_next, two_stage_n(
-                    var_hat, params.fudge, max(width, tol_t), alpha_next, kurtmax))
-        w_prev = width
     else:
         exit_flags |= 1
 

@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certint import montecarlo
 from certint import (
@@ -23,6 +25,7 @@ from certint import (
     kurtosis_bound,
     mean_mc,
     mean_mc_ber,
+    tolfun,
     two_stage_n,
 )
 
@@ -77,6 +80,20 @@ class TestTwoStageN:
         lo = two_stage_n(0.05, 1.2, 1e-2, 0.01, 25.0)
         hi = two_stage_n(0.10, 1.2, 1e-2, 0.01, 25.0)
         assert hi >= lo
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-8.0, 4.0), st.floats(1.01, 3.0), st.floats(-5.0, 0.0),
+           st.floats(1.0, 10.0), st.floats(-4.0, -0.3), st.floats(0.0, 5.0))
+    def test_count_certifies_its_tolerance(self, log_var, fudge, log_tol,
+                                           grow, log_alpha, log_kurt):
+        """The floor step relies on both: a looser tolerance never needs
+        more draws, and the count's half-width meets the tolerance."""
+        var, tol = 10.0**log_var, 10.0**log_tol
+        alpha, kurtmax = 10.0**log_alpha, 10.0**log_kurt
+        n = two_stage_n(var, fudge, tol, alpha, kurtmax)
+        assert two_stage_n(var, fudge, grow * tol, alpha, kurtmax) <= n
+        assert montecarlo._half_width(n, alpha, fudge * math.sqrt(var),
+                                      kurtmax) <= tol
 
 
 def test_kurtosis_bound_monotone_in_fudge():
@@ -205,7 +222,8 @@ _FIXED_SPECS = [
 
 
 class TestFixedToleranceStep:
-    """A fixed tolerance is met in one step that gets all of alpha_mu."""
+    """A fixed tolerance, or one whose floor is cheapest, is met in one
+    step that gets all of alpha_mu."""
 
     @pytest.mark.parametrize("spec, tol", _FIXED_SPECS)
     def test_one_step_of_two_stage_n(self, spec, tol):
@@ -234,22 +252,93 @@ class TestFixedToleranceStep:
         assert x["n_up"] > nbudget
         assert diag.errest > tol
 
-    def test_relative_tolerance_starts_with_n1(self):
-        params = McParams(tol=ToleranceSpec(1e-3, 1e-2), alpha=0.05)
+    def test_abstol_dominant_spec_takes_the_floor_step(self):
+        # reltol * |mu| = 3.3e-4 is far below abstol, so one step sized
+        # for abstol at all of alpha_mu beats a relative step at half
+        params = McParams(tol=ToleranceSpec(1e-2, 1e-3), alpha=0.05)
         tmu, diag = mean_mc(lambda n, g: g.random(n)**2, params, RngStream(5))
         x = diag.extra
-        assert x["n"][0] == params.n1
-        assert x["tau"] >= 2
-        assert x["n_up"] == params.n_sig + params.n1 + two_stage_n(
-            x["var"], params.fudge, 1e-2 * abs(x["hmu"][0]),
-            _alpha_mu(0.05) * 0.25, x["kurtmax"])
+        n_floor = two_stage_n(x["var"], params.fudge, 1e-2, _alpha_mu(0.05),
+                              x["kurtmax"])
+        assert x["n"] == [n_floor]
+        assert x["n_up"] == x["ntot"] == params.n_sig + n_floor
         assert diag.exit_flags == 0
+        assert abs(tmu - 1 / 3) <= 1e-2
 
     def test_zero_tolerance_rejected(self):
         # a tolerance of 0 at every estimate could never be met
         for theta in (0.0, 0.25, 0.5, 1.0):
             with pytest.raises(ConfigurationError, match="cannot both be 0"):
                 ToleranceSpec(0.0, 0.0, TolType.COMB, theta=theta)
+
+
+class TestRelativeToleranceSteps:
+    """A tolerance that grows with the estimate plans its first step from
+    the variance stage's mean, pessimistically."""
+
+    @pytest.mark.parametrize("abstol, floor_wins",
+                             [(1e-3, True), (1e-4, False)],
+                             ids=["floor_wins", "relative_wins"])
+    def test_first_step_is_planned_from_the_variance_stage(self, abstol,
+                                                           floor_wins):
+        spec = ToleranceSpec(abstol, 1e-2)
+        params = McParams(tol=spec, alpha=0.05)
+        y = lambda n, g: g.random(n)**2
+        tmu, diag = mean_mc(y, params, RngStream(5))
+        x = diag.extra
+        # replay the variance stage: the seed's first n_sig draws
+        m0, var = montecarlo._draw_mean(y, params.n_sig,
+                                        RngStream(5).generator(), "replay",
+                                        variance=True)
+        assert var == x["var"]
+        alpha_mu = _alpha_mu(0.05)
+        w0 = montecarlo._half_width(params.n_sig, alpha_mu * 0.5,
+                                    params.fudge * math.sqrt(var),
+                                    x["kurtmax"])
+        n_rel = two_stage_n(var, params.fudge,
+                            tolfun(spec, max(abs(m0) - w0, 0.0)),
+                            alpha_mu * 0.5, x["kurtmax"])
+        n_floor = two_stage_n(var, params.fudge, abstol, alpha_mu,
+                              x["kurtmax"])
+        # at 1e-3 Berry-Esseen makes the floor step at all of alpha_mu
+        # cheaper than the relative step at half of it
+        assert (n_floor <= n_rel) == floor_wins
+        assert x["n"] == [min(n_floor, n_rel)]
+        assert x["n_up"] == params.n_sig + min(n_floor, n_rel)
+        assert diag.exit_flags == 0
+        assert abs(tmu - 1 / 3) <= 1e-2 / 3
+
+    def test_zero_mean_falls_back_to_n1_and_flags_the_budget(self):
+        # a pure relative tolerance around a zero mean has no finite target:
+        # n1 draws, then doubling, until the budget cuts a step
+        params = McParams(tol=ToleranceSpec(0.0, 1e-2),
+                          budget=Budget(nbudget=100_000))
+        for seed in range(1, 6):
+            tmu, diag = mean_mc(lambda n, g: 2.0 * g.random(n) - 1.0, params,
+                                RngStream(seed))
+            x = diag.extra
+            assert x["n"][0] == params.n1
+            assert x["n_up"] == params.n_sig + params.n1
+            assert x["ntot"] == 100_000
+            assert diag.exit_flags == 1, seed
+
+    @pytest.mark.parametrize("y, mu, spec", [
+        (lambda n, g: g.random(n)**2, 1 / 3, ToleranceSpec(1e-3, 1e-2)),
+        (lambda n, g: g.random(n)**2, 1 / 3, ToleranceSpec(1e-2, 1e-2)),
+        (lambda n, g: g.random(n)**2, 1 / 3,
+         ToleranceSpec(1e-3, 1e-2, TolType.COMB, theta=0.5)),
+        (lambda n, g: np.cos(g.random(n)), math.sin(1.0),
+         ToleranceSpec(0.0, 1e-2)),
+        (lambda n, g: 1e4 + g.random(n), 1e4 + 0.5,
+         ToleranceSpec(1e-4, 1e-6)),
+    ], ids=["u2-max-1e-3-1e-2", "u2-max-1e-2-1e-2", "u2-comb-theta-0.5",
+            "cos-pure-relative", "offset-1e4"])
+    def test_coverage_over_seeds(self, y, mu, spec):
+        params = McParams(tol=spec)
+        for seed in range(1, 21):
+            tmu, diag = mean_mc(y, params, RngStream(seed))
+            assert diag.exit_flags == 0, seed
+            assert abs(tmu - mu) <= tolfun(spec, abs(mu)), seed
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e4, 1e8])
