@@ -17,12 +17,26 @@ stage, whose draws give both the variance and a first mean ``m0``:
   estimate.  One step of ``n_floor = two_stage_n(var, fudge, floor,
   alpha_mu, kurtmax)`` draws that gets all of ``alpha_mu`` therefore
   certifies whatever it estimates.
-* A relative step is sized pessimistically: for the tolerance at the
-  smallest magnitude the estimate is likely to have, ``|m| - w`` with
-  ``w`` the half-width of the mean ``m`` it plans from.  The first such
-  step (``n_rel``) plans from ``m0``; if that tolerance is 0 (a pure
-  relative tolerance around a zero mean) it falls back to ``n1`` draws,
+* A relative step is sized for the tolerance at ``|m| - z``, where ``m``
+  is the mean it plans from and ``z`` that mean's normal-approximation
+  half-width at the step's uncertainty (``_plan_magnitude``), so that it
+  also meets the tolerance at its own, likely smaller, estimate.  When
+  ``z`` exceeds ``|m| / 2`` the mean is not resolved: the margin would
+  cost over four times the draws, so the step is sized for ``|m|`` and
+  the next step plans from its many more draws.  The first relative step
+  (``n_rel``) plans from ``m0``; if its tolerance is 0 (a pure relative
+  tolerance around a mean of exactly 0) it falls back to ``n1`` draws,
   and a later one doubles the step before it.
+
+The margin only plans; the guarantee does not rest on it.  It is not
+the certified half-width, which at ``n_sig = 10^4`` draws is about
+``0.24 sigma`` (Chebyshev at ``alpha_mu / 2``), some 24 standard errors:
+sized for ``|m|`` less that, a step would cost ``(|mu| / (|mu| - 0.24
+sigma))^2`` times the draws, and none could be planned once ``|mu| <
+0.24 sigma``.  The cost of a relative run still depends on the ratio
+``|mu| / sigma``: the first step meets the tolerance when ``|mu|`` is
+several standard errors of ``m0`` (``sigma / sqrt(n_sig)``), and a
+lower ratio may take one more step.
 
 The mean stage takes the floor step when ``n_floor <= n_rel``, which a
 tolerance that does not depend on the estimate always does.  Otherwise
@@ -103,7 +117,7 @@ class McParams:
     ``n_sig`` is the size of the variance stage.  The mean stage sizes
     its steps from the variance stage; ``n1`` is only the fallback first
     step when that plans no positive tolerance (a pure relative tolerance
-    around a zero mean).
+    around a mean of exactly 0).
     """
 
     tol: ToleranceSpec = field(default_factory=ToleranceSpec)
@@ -233,9 +247,9 @@ def two_stage_n(var_hat: float, fudge: float, tolfun_val: float,
 
     The smaller of the Chebyshev count and the Berry-Esseen count (both
     are valid), floored at 30; a degenerate variance estimate clamps to
-    the floor.  The certified half-width of the returned count,
+    the floor.  For a count below 2**53 the certified half-width,
     ``_half_width(n, alpha_mu, fudge * sqrt(var_hat), kurtmax)``, never
-    exceeds ``tolfun_val``.
+    exceeds ``tolfun_val``; no budget can draw a larger one.
     """
     if tolfun_val <= 0 or not (0 < alpha_mu < 1):
         raise ConfigurationError("tolfun_val and alpha_mu must be positive")
@@ -265,6 +279,18 @@ def _half_width(n: int, alpha: float, sigtilde: float, kurtmax: float) -> float:
     margin = 0.5 * alpha - _BERRY_ESSEEN_C * kurtmax**0.75 / rn
     w_be = -ndtri(margin) * sigtilde / rn if margin > 0.0 else math.inf
     return min(w_cheb, w_be)
+
+
+def _plan_magnitude(m: float, n: int, alpha: float, sigtilde: float) -> float:
+    """The estimate magnitude a relative step planned from the mean ``m``
+    of ``n`` draws is sized for.
+
+    ``|m|`` less the normal-approximation half-width of ``m`` at level
+    ``alpha``, or ``|m|`` itself when that half-width exceeds ``|m| / 2``
+    (the mean is not resolved yet).  0 only for ``m == 0``.
+    """
+    margin = -ndtri(0.5 * alpha) * sigtilde / math.sqrt(n)
+    return abs(m) - margin if margin <= 0.5 * abs(m) else abs(m)
 
 
 def _draw_mean(yrand, n: int, gen, what: str, variance: bool = False,
@@ -357,11 +383,11 @@ def mean_mc(yrand, params: McParams, rng: RngStream):
     ``alpha_mu`` when that is no more than the first relative step
     ``n_rel``, and relative steps at ``alpha_mu * 2^-t`` otherwise (see
     the module docstring).  Step t+1 is sized for
-    ``tolfun(spec, max(|hmu_t| - width_t, 0))`` at ``alpha_mu * 2^-(t+1)``,
-    so that it meets the tolerance at its own estimate too.  ``n_up`` is
-    the planned total, ``n_sig`` plus the first planned step.  Exit flag 1
-    means the sample or time budget ran out before the tolerance was
-    certified.
+    ``tolfun(spec, _plan_magnitude(hmu_t, n_t, alpha_t / 2, sigtilde))``
+    at ``alpha_t / 2``, so that it meets the tolerance at its own estimate
+    too.  ``n_up`` is the planned total, ``n_sig`` plus the first planned
+    step.  Exit flag 1 means the sample or time budget ran out before the
+    tolerance was certified.
     """
     t_start = time.perf_counter()
     gen = rng.generator()
@@ -380,8 +406,8 @@ def mean_mc(yrand, params: McParams, rng: RngStream):
     floor = tolfun(spec, 0.0)
     n_floor = (two_stage_n(var_hat, fudge, floor, alpha_mu, kurtmax)
                if floor > 0 else math.inf)
-    w0 = _half_width(params.n_sig, alpha_mu * 0.5, sigtilde, kurtmax)
-    tol_lo = tolfun(spec, max(abs(m0) - w0, 0.0))
+    tol_lo = tolfun(spec, _plan_magnitude(m0, params.n_sig, alpha_mu * 0.5,
+                                          sigtilde))
     n_rel = (two_stage_n(var_hat, fudge, tol_lo, alpha_mu * 0.5, kurtmax)
              if tol_lo > 0 else params.n1)
     one_step = n_floor <= n_rel
@@ -426,13 +452,14 @@ def mean_mc(yrand, params: McParams, rng: RngStream):
             # the step had all of alpha_mu, so none is left for another
             exit_flags |= 1
             break
-        tol_lo = tolfun(spec, max(abs(hmu) - width, 0.0))
+        tol_lo = tolfun(spec, _plan_magnitude(hmu, n_t, alpha_t * 0.5,
+                                              sigtilde))
         if tol_lo > 0:
             n_next = two_stage_n(var_hat, fudge, tol_lo, alpha_t * 0.5,
                                  kurtmax)
         else:
-            # pure relative tolerance around a zero estimate: no finite
-            # target yet, grow geometrically until the budget objects
+            # pure relative tolerance around an estimate of exactly 0: no
+            # finite target yet, grow geometrically until the budget objects
             n_next = max(2 * n_t, _MIN_SAMPLE)
     else:
         exit_flags |= 1

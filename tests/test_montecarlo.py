@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from certint import montecarlo
 from certint import (
@@ -274,7 +275,7 @@ class TestFixedToleranceStep:
 
 class TestRelativeToleranceSteps:
     """A tolerance that grows with the estimate plans its first step from
-    the variance stage's mean, pessimistically."""
+    the variance stage's mean, less a margin."""
 
     @pytest.mark.parametrize("abstol, floor_wins",
                              [(1e-3, True), (1e-4, False)],
@@ -292,11 +293,9 @@ class TestRelativeToleranceSteps:
                                         variance=True)
         assert var == x["var"]
         alpha_mu = _alpha_mu(0.05)
-        w0 = montecarlo._half_width(params.n_sig, alpha_mu * 0.5,
-                                    params.fudge * math.sqrt(var),
-                                    x["kurtmax"])
-        n_rel = two_stage_n(var, params.fudge,
-                            tolfun(spec, max(abs(m0) - w0, 0.0)),
+        z0 = -ndtri(alpha_mu * 0.25) * params.fudge * math.sqrt(var) / 100.0
+        assert z0 <= abs(m0) / 2
+        n_rel = two_stage_n(var, params.fudge, tolfun(spec, abs(m0) - z0),
                             alpha_mu * 0.5, x["kurtmax"])
         n_floor = two_stage_n(var, params.fudge, abstol, alpha_mu,
                               x["kurtmax"])
@@ -309,18 +308,44 @@ class TestRelativeToleranceSteps:
         assert abs(tmu - 1 / 3) <= 1e-2 / 3
 
     def test_zero_mean_falls_back_to_n1_and_flags_the_budget(self):
-        # a pure relative tolerance around a zero mean has no finite target:
-        # n1 draws, then doubling, until the budget cuts a step
+        # a pure relative tolerance around a mean of exactly 0 has no
+        # finite target: n1 draws, then doubling, until the budget cuts a
+        # step; +-1 in turn sums to exactly 0 over every even count
+        params = McParams(tol=ToleranceSpec(0.0, 1e-2),
+                          budget=Budget(nbudget=100_000))
+        tmu, diag = mean_mc(lambda n, g: 1.0 - 2.0 * (np.arange(n) % 2),
+                            params, RngStream(1))
+        x = diag.extra
+        assert x["n"] == [params.n1, 2 * params.n1, 4 * params.n1,
+                          100_000 - params.n_sig - 7 * params.n1]
+        assert x["hmu"] == [0.0] * 4
+        assert x["n_up"] == params.n_sig + params.n1
+        assert x["ntot"] == 100_000
+        assert diag.exit_flags == 1
+
+    def test_zero_mean_never_certifies(self):
+        # a random zero mean plans for the tolerance at a tiny estimate,
+        # which the budget cuts; the run must not claim a certificate
         params = McParams(tol=ToleranceSpec(0.0, 1e-2),
                           budget=Budget(nbudget=100_000))
         for seed in range(1, 6):
             tmu, diag = mean_mc(lambda n, g: 2.0 * g.random(n) - 1.0, params,
                                 RngStream(seed))
-            x = diag.extra
-            assert x["n"][0] == params.n1
-            assert x["n_up"] == params.n_sig + params.n1
-            assert x["ntot"] == 100_000
+            assert diag.extra["ntot"] == 100_000
             assert diag.exit_flags == 1, seed
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_low_ratio_mean_is_certified(self, seed):
+        # y = U - 0.45: |mu| / sigma = 0.17, so mu is about 17 standard
+        # errors of the variance stage's mean but under its certified
+        # half-width (0.24 sigma); a plan from that half-width never ends
+        spec = ToleranceSpec(0.0, 5e-2)
+        params = McParams(tol=spec, budget=Budget(nbudget=10_000_000))
+        tmu, diag = mean_mc(lambda n, g: g.random(n) - 0.45, params,
+                            RngStream(seed))
+        assert diag.exit_flags == 0
+        assert diag.extra["tau"] == 1
+        assert abs(tmu - 0.05) <= tolfun(spec, 0.05)
 
     @pytest.mark.parametrize("y, mu, spec", [
         (lambda n, g: g.random(n)**2, 1 / 3, ToleranceSpec(1e-3, 1e-2)),
@@ -331,8 +356,11 @@ class TestRelativeToleranceSteps:
          ToleranceSpec(0.0, 1e-2)),
         (lambda n, g: 1e4 + g.random(n), 1e4 + 0.5,
          ToleranceSpec(1e-4, 1e-6)),
+        (lambda n, g: g.random(n) - 0.45, 0.05, ToleranceSpec(0.0, 5e-2)),
+        (lambda n, g: g.random(n) - 0.45, 0.05, ToleranceSpec(1e-6, 1e-2)),
     ], ids=["u2-max-1e-3-1e-2", "u2-max-1e-2-1e-2", "u2-comb-theta-0.5",
-            "cos-pure-relative", "offset-1e4"])
+            "cos-pure-relative", "offset-1e4", "low-ratio-pure-relative",
+            "low-ratio-max-1e-6-1e-2"])
     def test_coverage_over_seeds(self, y, mu, spec):
         params = McParams(tol=spec)
         for seed in range(1, 21):
