@@ -132,8 +132,7 @@ class SolverDiagnostics:
 
     * ``cub_lattice``/``cub_sobol``: the levels evaluated, m - mmin + 1;
     * ``integral``: the grids evaluated (the initial one included);
-    * ``funmin``: the grid doublings;
-    * ``funappx``: the rounds of subinterval splits;
+    * ``funappx`` and ``funmin``: the rounds of subinterval splits;
     * ``mean_mc`` and ``cub_mc``: the mean-stage steps tau;
     * ``mean_mc_ber``: 1, its single fixed-size draw.
     """

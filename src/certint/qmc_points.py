@@ -98,10 +98,13 @@ def _sobol_table() -> np.ndarray:
     rows = _load_text(_SOBOL_FILE)
     if rows and rows[0].lstrip().startswith("d"):
         rows = rows[1:]
+    # v[d - 1, :s] holds m_1..m_s until the shift below; a degree of
+    # SOBOL_MAX_BITS keeps a row out of the recurrence: dimension 1 (van
+    # der Corput, m_k = 1 for all k) and any dimension the file lacks
     v = np.zeros((SOBOL_MAX_DIM, SOBOL_MAX_BITS), dtype=np.uint64)
-    # dimension 1: van der Corput, m_k = 1 for all k
-    for k in range(SOBOL_MAX_BITS):
-        v[0, k] = np.uint64(1) << np.uint64(SOBOL_MAX_BITS - 1 - k)
+    v[0] = 1
+    degree = np.full(SOBOL_MAX_DIM, SOBOL_MAX_BITS)
+    poly = np.zeros(SOBOL_MAX_DIM, dtype=np.int64)
     seen = 1
     for ln in rows:
         parts = ln.split()
@@ -111,22 +114,32 @@ def _sobol_table() -> np.ndarray:
             break
         if len(ms) != s:
             raise DataFileError(f"direction-number row for d={d} is truncated")
-        vk = [0] * SOBOL_MAX_BITS
-        for k in range(min(s, SOBOL_MAX_BITS)):
-            vk[k] = ms[k] << (SOBOL_MAX_BITS - 1 - k)
-        for k in range(s, SOBOL_MAX_BITS):
-            val = vk[k - s] ^ (vk[k - s] >> s)
-            for i in range(1, s):
-                if (a >> (s - 1 - i)) & 1:
-                    val ^= vk[k - i]
-            vk[k] = val
-        v[d - 1, :] = vk
+        # the recurrence rewrites every column from s on
+        m = ms[:SOBOL_MAX_BITS]
+        v[d - 1, :len(m)] = m
+        degree[d - 1], poly[d - 1] = s, a
         seen = max(seen, d)
     if seen < SOBOL_MAX_DIM:
         raise DataFileError(
             f"direction-number table covers only {seen} dimensions, "
             f"need {SOBOL_MAX_DIM}"
         )
+    v <<= np.arange(SOBOL_MAX_BITS - 1, -1, -1, dtype=np.uint64)
+    # v_k = v_(k-s) ^ (v_(k-s) >> s) ^ the XOR of v_(k-i) over the set
+    # bits a_i, 0 < i < s, of the polynomial.  Column k needs only earlier
+    # columns, so it is built for every dimension at once; taps[:, i - 1]
+    # is all ones where a_i is set and 0 elsewhere.
+    s = degree
+    i = np.arange(1, s[s < SOBOL_MAX_BITS].max(initial=1))
+    bit = (poly[:, None] >> np.maximum(s[:, None] - 1 - i, 0)) & 1
+    taps = np.where((i < s[:, None]) & (bit == 1), ~np.uint64(0),
+                    np.uint64(0))
+    for k in range(1, SOBOL_MAX_BITS):
+        r = np.flatnonzero(s <= k)
+        prev = v[r, k - s[r]]
+        terms = v[r[:, None], np.maximum(k - i, 0)] & taps[r]
+        v[r, k] = (prev ^ (prev >> s[r].astype(np.uint64))
+                   ^ np.bitwise_xor.reduce(terms, axis=1))
     _cache["sobol"] = v
     return v
 

@@ -11,18 +11,22 @@ Three adaptive solvers share the same data-driven machinery:
   every abscissa is evaluated once.  The subintervals of one round are
   (k, ``ninit``) arrays, checked and split together.
 * :func:`funmin` -- global minimum value plus the subset of [a, b]
-  certified to contain every global minimizer, on a uniform grid that
-  doubles until the function-value gap or the candidate-set length is
-  small enough.
+  certified to contain every global minimizer, on the same subinterval
+  rows.  A row whose cells all lie, by its cone bound, at least
+  ``abstol`` above the best sampled value cannot hold a minimizer and is
+  dropped; only the rest are split, until every remaining row's bound is
+  within ``abstol`` or their total candidate length is within ``tolx``.
 * :func:`integral` -- adaptive trapezoidal quadrature on a doubling
   uniform grid.
 
 All three compute their error estimates from centered second differences
 and the deviation of local slopes from the secant slope; when the sampled
-data contradict the assumed cone inequality, the cone constant (``nstar``
-or ``tau``) is doubled before any new points are spent.  The estimates are
-upper bounds for every function inside the cone, which is what the
-guarantee tests exercise.
+data contradict the assumed cone inequality, the cone constant (``nstar``)
+is doubled before any new points are spent.  The estimates are upper
+bounds for every function inside the cone, which is what the guarantee
+tests exercise.  This is the local adaption of Choi, Ding, Hickernell &
+Tong (2017), "Local adaption for approximation and minimization of
+univariate functions".
 """
 
 from __future__ import annotations
@@ -58,8 +62,8 @@ class IntervalProblem:
 
     ``f`` must accept a 1-d ndarray of abscissae and return an
     equal-length ndarray of values; it is assumed pure.  The solvers call
-    it once per round: :func:`funappx` with all of that round's new
-    midpoints in ascending order.
+    it once per round: :func:`funappx` and :func:`funmin` with all of that
+    round's new midpoints in ascending order.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -147,12 +151,15 @@ _CURVATURE_INFLATION = 1.1
 
 
 def _cone_rows(xs, ys, nstar):
-    """Cone check and error estimate of each row of a (..., n) grid.
+    """Cone check and curvature bounds of each row of a (..., n) grid.
 
     Each row is a uniform grid on [row[0], row[-1]] with its own cone
-    constant in ``nstar``.  Returns ``(nstar, errest, violated)``:
+    constant in ``nstar``.  Returns ``(nstar, violated, big_f, f_cone, h)``:
     ``nstar`` doubled, row by row, until the row's data satisfy the cone
-    inequality, and ``violated`` marks the rows that had to double.
+    inequality; ``violated`` marks the rows that had to double; ``big_f``
+    is the largest centered second difference over h^2; ``f_cone`` =
+    max(cone cap, ``big_f``) bounds ||f''|| on the row for every function
+    in the cone; ``h`` is the row spacing.
     """
     length = xs[..., -1] - xs[..., 0]
     h = length / (xs.shape[-1] - 1)
@@ -177,12 +184,49 @@ def _cone_rows(xs, ys, nstar):
             break
         nstar[short] *= 2
         short = short & ~(lhs <= 2.0 * nstar * slack)
-    # absent a violation big_f <= cone_cap, so the cap can shave at
-    # most the inflation and never undercuts the data bound
     cone_cap = 2.0 * nstar * slack / length
-    f_hat = np.minimum(_CURVATURE_INFLATION * big_f,
-                       np.maximum(cone_cap, big_f))
-    return nstar, f_hat * h * h / 8.0, violated
+    return nstar, violated, big_f, np.maximum(cone_cap, big_f), h
+
+
+def _doubled_grid(f, xs, ys, what):
+    """Insert midpoints into each row of a (..., n) uniform grid, reusing
+    the existing values; ``f`` gets every midpoint in one call, row after
+    row."""
+    mids = 0.5 * (xs[..., :-1] + xs[..., 1:])
+    ymid = _call_f(f, mids.ravel(), what).reshape(mids.shape)
+    nx = np.empty(xs.shape[:-1] + (2 * xs.shape[-1] - 1,))
+    ny = np.empty_like(nx)
+    nx[..., 0::2], nx[..., 1::2] = xs, mids
+    ny[..., 0::2], ny[..., 1::2] = ys, ymid
+    return nx, ny
+
+
+def _split_rows(f, rows, npoints, nmax, what):
+    """Split the leftmost rows that the point budget ``nmax`` pays for.
+
+    ``rows`` is a tuple of per-row arrays ordered by left end: the (k, n)
+    abscissae and values of uniform grids, their cone constants, then
+    whatever else the caller keeps per row.  A split row becomes two rows
+    of n points, its knots plus its cell midpoints, which inherit its cone
+    constant; ``f`` gets every new midpoint in one call, in ascending
+    order, so no abscissa is evaluated twice.  Returns ``(halves, rest,
+    npoints)``: the (xs, ys, nstar) of the halves, left to right; every
+    array of ``rows`` cut to the rows the budget left unsplit; and the
+    new point count.  ``f`` is not called when no row fits.
+    """
+    n = rows[0].shape[-1]
+    room = max((nmax - npoints) // (n - 1), 0)
+    rest = tuple(a[room:] for a in rows)
+    xs, ys, nstar = (a[:room] for a in rows[:3])
+    if not xs.shape[0]:
+        return (xs, ys, nstar), rest, npoints
+    npoints += xs.shape[0] * (n - 1)
+    wide_x, wide_y = _doubled_grid(f, xs, ys, what)
+    # the halves of row i are the windows of n points at offsets 0 and
+    # n - 1 of its doubled grid
+    xs, ys = (sliding_window_view(w, n, axis=1)[:, ::n - 1].reshape(-1, n)
+              for w in (wide_x, wide_y))
+    return (xs, ys, np.repeat(nstar, 2)), rest, npoints
 
 
 def funappx(p: IntervalProblem):
@@ -217,7 +261,10 @@ def funappx(p: IntervalProblem):
     cut = False     # the point budget stopped the last round's splits
 
     while True:
-        nstar, errest, violated = _cone_rows(xs, ys, nstar)
+        nstar, violated, big_f, f_cone, h = _cone_rows(xs, ys, nstar)
+        # absent a violation big_f <= f_cone, so the cone can shave at most
+        # the inflation and never undercuts the data bound
+        errest = np.minimum(_CURVATURE_INFLATION * big_f, f_cone) * h * h / 8.0
         pending = (violated | (errest > p.abstol)) & (not cut)
         if pending.any() and iters >= p.budget.maxiter:
             exit_flags |= 2
@@ -225,23 +272,16 @@ def funappx(p: IntervalProblem):
         final.append(tuple(a[~pending] for a in (xs, ys, nstar, errest)))
         if not pending.any():
             break
-        xs, ys, nstar, errest = (a[pending] for a in (xs, ys, nstar, errest))
         iters += 1
-        room = max((p.budget.nmax - npoints) // (ninit - 1), 0)
-        if xs.shape[0] > room:
+        (xs, ys, nstar), rest, npoints = _split_rows(
+            p.f, tuple(a[pending] for a in (xs, ys, nstar, errest)),
+            npoints, p.budget.nmax, "funappx")
+        if rest[0].shape[0]:
             exit_flags |= 1
             cut = True
-            final.append(tuple(a[room:] for a in (xs, ys, nstar, errest)))
-            xs, ys, nstar = xs[:room], ys[:room], nstar[:room]
-            if room == 0:
+            final.append(rest)
+            if not xs.shape[0]:
                 break
-        npoints += xs.shape[0] * (ninit - 1)
-        wide_x, wide_y = _doubled_grid(p.f, xs, ys, "funappx")
-        # the halves of row i are the windows [i, 0] and [i, 1] of ninit
-        # points at offsets 0 and ninit - 1 of its doubled grid
-        xs = sliding_window_view(wide_x, ninit, axis=1)[:, ::ninit - 1]
-        ys = sliding_window_view(wide_y, ninit, axis=1)[:, ::ninit - 1]
-        nstar = np.repeat(nstar[:, None], 2, axis=1)
 
     # the blocks interleave in x: put every row at its rank by left end
     x0 = np.concatenate([block[0][:, 0] for block in final])
@@ -299,93 +339,109 @@ def eval_approx(approx: PiecewiseLinearApprox, xs) -> np.ndarray:
 # funmin: guaranteed global minimization
 # ---------------------------------------------------------------------------
 
-def _doubled_grid(f, xs, ys, what):
-    """Insert midpoints into each row of a (..., n) uniform grid, reusing
-    the existing values; ``f`` gets every midpoint in one call, row after
-    row."""
-    mids = 0.5 * (xs[..., :-1] + xs[..., 1:])
-    ymid = _call_f(f, mids.ravel(), what).reshape(mids.shape)
-    nx = np.empty(xs.shape[:-1] + (2 * xs.shape[-1] - 1,))
-    ny = np.empty_like(nx)
-    nx[..., 0::2], nx[..., 1::2] = xs, mids
-    ny[..., 0::2], ny[..., 1::2] = ys, ymid
-    return nx, ny
-
-
 def funmin(p: IntervalProblem, tolx: float = 1e-3):
     """Global minimum of ``p.f`` on [a, b] with a certified error bound.
 
-    Stops when the gap between the best sampled value and the certified
-    lower bound is at most ``abstol``, or when the total length of the
-    subintervals that may contain a minimizer is at most ``tolx``.
-    Returns ``(MinimizerResult, diagnostics)``; exitflag 1 means the point
-    budget was reached first.
+    Runs on ``funappx``'s subinterval rows: each row is a uniform grid of
+    ``ninit`` points with its own cone constant ``nstar``.  A row's dip
+    is its cone bound max(cone cap, data curvature) h^2 / 8, which bounds
+    how far ``p.f`` can fall below the lower end of a cell for every
+    function in the cone.  ``upper`` is the least value sampled so far; a
+    cell is a candidate when min(y_i, y_i+1) - dip < upper + abstol.  A
+    row with no candidate cell cannot hold a minimizer and is dropped for
+    good, since ``upper`` only falls; a candidate row is pending when its
+    cone was violated or its dip exceeds ``abstol``.
+
+    The run stops with flag 0 when no row is pending, or when the total
+    length of the candidate cells (``volumeX``) is at most ``tolx``.
+    Otherwise each round splits the pending rows as ``funappx`` does, with
+    one call of ``p.f`` for all new midpoints, so ``n_evals == n_points``
+    and ``iterations`` counts the rounds.  When the point budget cannot pay
+    for every split, only the leftmost ones that fit are made and the run
+    stops with exit flag 1.
+
+    Returns ``(MinimizerResult, diagnostics)``: ``fmin`` is ``upper``,
+    ``errest`` the largest dip over the candidate rows, and ``intervals``
+    the merged candidate cells, checked against the final ``upper``.
     """
     if not (tolx > 0):
         raise ConfigurationError("tolx must be positive")
     t_start = time.perf_counter()
     ninit = ninit_rule(p.nlo, p.nhi, p.a, p.b)
-    tau = 2 * ninit - 3
-    tauchange = False
-    length = p.b - p.a
-
-    xs = np.linspace(p.a, p.b, ninit)
-    ys = _call_f(p.f, xs, "funmin")
+    xs = np.linspace(p.a, p.b, ninit)[None, :]
+    fresh = (xs, _call_f(p.f, xs[0], "funmin")[None, :],
+             np.array([float(ninit - 2)]))
+    # the candidate rows as (xs, ys, nstar, dip); a row's dip is settled
+    # once it is checked, because only pending rows change, by splitting
+    rows = (np.empty((0, ninit)), np.empty((0, ninit)), np.empty(0),
+            np.empty(0))
+    pending = np.empty(0, dtype=bool)
+    upper = np.inf
+    npoints = ninit
     exit_flags = 0
     iters = 0
+    tauchange = False
+    cut = False     # the point budget stopped the last round's splits
 
     while True:
-        n = xs.size
-        h = length / (n - 1)
-        second = ys[:-2] - 2.0 * ys[1:-1] + ys[2:]
-        big_f = np.max(np.abs(second)) / (h * h) if second.size else 0.0
-        slopes = np.diff(ys) / h
-        secant = (ys[-1] - ys[0]) / length
-        v = np.max(np.abs(slopes - secant))
-        for _ in range(_MAX_CONE_DOUBLINGS):
-            if big_f * length <= tau * (v + 0.5 * h * big_f):
-                break
-            tau *= 2
-            tauchange = True
-
-        denom = length - 0.5 * tau * h
-        f_bound = tau * v / denom if denom > 0 else np.inf
-        f_bound = max(f_bound, big_f)
-        dip = f_bound * h * h / 8.0
-
-        upper = float(np.min(ys))
-        cell_min = np.minimum(ys[:-1], ys[1:])
-        errest = dip if np.isfinite(dip) else np.inf
-        candidates = cell_min - dip < upper + p.abstol
-        volume_x = h * int(np.count_nonzero(candidates))
-
-        if errest <= p.abstol or volume_x <= tolx:
-            break
-        if 2 * (n - 1) + 1 > p.budget.nmax:
-            exit_flags |= 1
+        xs, ys, nstar = fresh
+        nstar, violated, _, f_cone, h = _cone_rows(xs, ys, nstar)
+        dip = f_cone * h * h / 8.0
+        tauchange |= bool(violated.any())
+        upper = min(upper, float(ys.min()))
+        rows = tuple(np.concatenate(pair)
+                     for pair in zip(rows, (xs, ys, nstar, dip)))
+        pending = np.concatenate((pending, violated | (dip > p.abstol)))
+        cells = (np.minimum(rows[1][:, :-1], rows[1][:, 1:])
+                 - rows[3][:, None] < upper + p.abstol)
+        live = cells.any(axis=1)
+        rows = tuple(a[live] for a in rows)
+        cells, pending = cells[live], pending[live]
+        widths = (rows[0][:, -1] - rows[0][:, 0]) / (ninit - 1)
+        volume_x = float(widths @ cells.sum(axis=1))
+        if cut or volume_x <= tolx or not pending.any():
             break
         iters += 1
-        xs, ys = _doubled_grid(p.f, xs, ys, "funmin")
+        fresh, rest, npoints = _split_rows(
+            p.f, tuple(a[pending] for a in rows), npoints, p.budget.nmax,
+            "funmin")
+        if rest[0].shape[0]:
+            exit_flags |= 1
+            cut = True
+            if not fresh[0].shape[0]:
+                break
+        rows = tuple(np.concatenate((a[~pending], r))
+                     for a, r in zip(rows, rest))
+        pending = np.zeros(rows[0].shape[0], dtype=bool)
 
-    intervals = _merge_cells(xs, candidates)
+    order = np.argsort(rows[0][:, 0])
+    xs, cells = rows[0][order], cells[order]
+    # a zero-length junction cell joins touching candidate cells of
+    # neighbouring rows into one interval
+    joined = cells[:-1, -1] & cells[1:, 0] & (xs[:-1, -1] == xs[1:, 0])
+    mask = np.concatenate((cells, np.append(joined, False)[:, None]),
+                          axis=1).ravel()[:-1]
+    intervals = _merge_cells(xs.ravel(), mask)
+    errest = float(rows[3].max())
     result = MinimizerResult(
         fmin=upper,
         volumeX=volume_x,
         intervals=intervals,
-        errest=float(errest),
+        errest=errest,
     )
     diag = SolverDiagnostics(
         algorithm="funmin",
-        n_evals=xs.size,
-        n_points=xs.size,
+        n_evals=npoints,
+        n_points=npoints,
         iterations=iters,
-        errest=float(errest) if np.isfinite(errest) else float("inf"),
+        errest=errest,
         exit_flags=exit_flags,
         elapsed_seconds=time.perf_counter() - t_start,
         extra={
             "ninit": ninit,
-            "tau": tau,
+            "nstar": [int(c) for c in rows[2][order].tolist()],
             "tauchange": tauchange,
+            "n_subintervals": int(order.size),
             "volumeX": volume_x,
             "intervals": [list(iv) for iv in intervals],
             "abstol": p.abstol,

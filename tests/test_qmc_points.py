@@ -21,8 +21,12 @@ from certint import (
 )
 from certint.qmc_points import (
     _FWHT_CHUNK,
+    _SOBOL_FILE,
     SOBOL_MAX_BITS,
+    SOBOL_MAX_DIM,
     _cache,
+    _load_text,
+    _sobol_table,
     periodizer_map_weight,
 )
 
@@ -298,6 +302,43 @@ class TestPeriodizers:
                 assert abs(val - truth) < 1e-9, variant
 
 
+def _reference_sobol_table():
+    """The direction integers built one dimension and one column at a time
+    with Python integers, as the table was built before the recurrence ran
+    across all dimensions at once."""
+    rows = _load_text(_SOBOL_FILE)
+    if rows and rows[0].lstrip().startswith("d"):
+        rows = rows[1:]
+    v = np.zeros((SOBOL_MAX_DIM, SOBOL_MAX_BITS), dtype=np.uint64)
+    for k in range(SOBOL_MAX_BITS):
+        v[0, k] = np.uint64(1) << np.uint64(SOBOL_MAX_BITS - 1 - k)
+    for ln in rows:
+        parts = ln.split()
+        d, s, a = int(parts[0]), int(parts[1]), int(parts[2])
+        ms = [int(x) for x in parts[3:3 + s]]
+        if d > SOBOL_MAX_DIM:
+            break
+        vk = [0] * SOBOL_MAX_BITS
+        for k in range(min(s, SOBOL_MAX_BITS)):
+            vk[k] = ms[k] << (SOBOL_MAX_BITS - 1 - k)
+        for k in range(s, SOBOL_MAX_BITS):
+            val = vk[k - s] ^ (vk[k - s] >> s)
+            for i in range(1, s):
+                if (a >> (s - 1 - i)) & 1:
+                    val ^= vk[k - i]
+            vk[k] = val
+        v[d - 1, :] = vk
+    return v
+
+
+class TestSobolTable:
+    def test_equals_reference_builder(self):
+        table = _sobol_table()
+        assert table.dtype == np.uint64
+        assert table.shape == (SOBOL_MAX_DIM, SOBOL_MAX_BITS)
+        assert np.array_equal(table, _reference_sobol_table())
+
+
 class TestDataFiles:
     def test_env_relocation(self, tmp_path, monkeypatch):
         src = os.path.join(os.path.dirname(__file__), "..", "src", "certint",
@@ -325,6 +366,28 @@ class TestDataFiles:
         try:
             with pytest.raises(DataFileError):
                 LatticeGenerator(2)
+        finally:
+            _cache.clear()
+
+    @pytest.mark.parametrize("cut", ["row", "table"])
+    def test_malformed_sobol_table_rejected(self, tmp_path, monkeypatch, cut):
+        src = os.path.join(os.path.dirname(__file__), "..", "src", "certint",
+                           "data")
+        for name in os.listdir(src):
+            shutil.copy(os.path.join(src, name), tmp_path / name)
+        bad = tmp_path / "sobol_direction_numbers.txt"
+        lines = bad.read_text().splitlines(keepends=True)
+        if cut == "row":
+            row = next(i for i, ln in enumerate(lines) if ln.startswith("3\t"))
+            lines[row] = "3\t2\t1\t1\n"
+        else:
+            lines = lines[:500]
+        bad.write_text("".join(lines))
+        monkeypatch.setenv("GAILRS_DATA_DIR", str(tmp_path))
+        _cache.clear()
+        try:
+            with pytest.raises(DataFileError):
+                SobolGenerator(2)
         finally:
             _cache.clear()
 

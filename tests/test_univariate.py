@@ -279,9 +279,11 @@ class TestFunmin:
 
     def test_budget_exit(self):
         p = IntervalProblem(f=lambda x: (x - 0.3)**2 + 1, abstol=1e-14,
-                            budget=Budget(nmax=2000))
+                            budget=Budget(nmax=1000))
         r, diag = funmin(p, tolx=1e-14)
         assert diag.exit_flags == 1
+        assert diag.n_evals == diag.n_points <= 1000
+        assert any(lo <= 0.3 <= hi for lo, hi in r.intervals)
 
     def test_tolx_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -304,6 +306,74 @@ class TestFunmin:
         _, loose = funmin(IntervalProblem(f=f, abstol=2e-6), tolx=1e-9)
         _, tight = funmin(IntervalProblem(f=f, abstol=1e-6), tolx=1e-9)
         assert loose.n_points <= tight.n_points
+
+    def test_guarantee_sweep(self):
+        # on flag 0 the least value on a dense grid, plus every sampled
+        # abscissa, lies in [fmin - errest, fmin], and its abscissa lies in
+        # a reported interval
+        rng = np.random.default_rng(20170101)
+        for case in range(60):
+            kind = case % 3
+            a = rng.uniform(-3.0, 1.0)
+            b = a + rng.uniform(0.5, 4.0)
+            if kind == 0:
+                a2, c, a0 = rng.uniform(0.2, 5.0), rng.uniform(a, b), rng.normal()
+                f = lambda x, a2=a2, c=c, a0=a0: a2 * (x - c)**2 + a0
+            elif kind == 1:
+                w, phase = rng.uniform(1.0, 12.0), rng.uniform(0, 2 * np.pi)
+                f = lambda x, w=w, ph=phase: np.sin(w * x + ph)
+            else:
+                c = rng.choice([-1, 1]) * rng.uniform(0.3, 2.0)
+                f = lambda x, c=c: np.exp(c * x)
+            abstol = 10 ** rng.uniform(-8, -5)
+            seen = []
+
+            def g(x, f=f):
+                seen.append(x.copy())
+                return f(x)
+
+            r, diag = funmin(IntervalProblem(f=g, a=a, b=b, abstol=abstol),
+                             tolx=1e-6)
+            assert diag.exit_flags == 0
+            grid = np.concatenate([np.linspace(a, b, 200_001)] + seen)
+            vals = f(grid)
+            at = int(np.argmin(vals))
+            assert r.fmin - r.errest <= vals[at] <= r.fmin
+            assert any(lo <= grid[at] <= hi for lo, hi in r.intervals)
+
+    def test_shallow_basin_dropped(self):
+        # minima near 0.25 and 0.75 differ by about 0.05: only the deeper
+        # one may stay a candidate
+        f = lambda x: np.cos(4 * np.pi * x) + 0.1 * x
+        r, diag = funmin(IntervalProblem(f=f, abstol=1e-8), tolx=1e-9)
+        grid = np.linspace(0, 1, 1_000_001)
+        best = grid[np.argmin(f(grid))]
+        assert diag.exit_flags == 0
+        assert any(lo <= best <= hi for lo, hi in r.intervals)
+        assert all(hi < 0.5 for lo, hi in r.intervals)
+        assert r.volumeX < 0.01
+        assert diag.errest <= 1e-8
+
+    def test_each_abscissa_evaluated_once(self):
+        seen = []
+        g = lambda x: np.sin(6 * x) + x**2
+
+        def f(x):
+            seen.append(np.array(x))
+            return g(x)
+
+        r, diag = funmin(IntervalProblem(f=f, a=-1, b=2, abstol=1e-9),
+                         tolx=1e-9)
+        assert diag.iterations >= 3
+        assert len(seen) == diag.iterations + 1
+        for xs in seen:
+            assert np.all(np.diff(xs) > 0)
+        every = np.concatenate(seen)
+        assert np.unique(every).size == every.size
+        assert diag.n_evals == diag.n_points == every.size
+        assert r.fmin == np.min(g(every))
+        assert len(diag.extra["nstar"]) == diag.extra["n_subintervals"]
+        assert "tau" not in diag.extra
 
 
 def _merge_cells_loop(xs, mask):
