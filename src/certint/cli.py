@@ -26,14 +26,13 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
-from scipy.special import erf, ndtr, ndtri
 
 from . import exprlang
 from .core import (Budget, RngStream, SolverDiagnostics, ToleranceSpec,
                    TolType, _jsonable, tolfun)
 from .errors import CertintError, ConfigurationError
 from .montecarlo import (Hyperbox, McParams, Measure, cub_mc, mean_mc,
-                         mean_mc_ber)
+                         mean_mc_ber, measure_map)
 from .qmc_cubature import QmcParams, cub_lattice, cub_sobol
 from .qmc_points import Periodizer
 from .univariate import IntervalProblem, eval_approx, funappx, funmin, integral
@@ -329,13 +328,15 @@ def _run_subcommand(args) -> tuple:
         f = _expr_fn(args.f, args.dim)
         params = McParams(tol=_tolspec(args, 1e-1), alpha=args.alpha,
                           budget=Budget(nbudget=args.nbudget))
-        normal = args.measure == "normal"
+        normal = None
+        if args.measure == "normal":
+            normal = Hyperbox([-math.inf] * args.dim, [math.inf] * args.dim,
+                              Measure.NORMAL)
 
         def yrand(n, gen):
             u = gen.random((n, args.dim))
-            if normal:
-                np.clip(u, np.finfo(float).tiny, None, out=u)
-                u = ndtri(u)
+            if normal is not None:
+                u = measure_map(u, normal)[0]
             return f(u)
 
         tmu, diag = mean_mc(yrand, params, RngStream(args.seed))
@@ -383,6 +384,7 @@ _SQRT_PI = math.sqrt(math.pi)
 
 def _fixtures(seed: int) -> list:
     """The full embedded table of worked examples with oracle truths."""
+    from scipy.special import erf, ndtr
     fx = []
 
     def add(name, run_fn, truth, tol, provenance, check=None):

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Tuple, Union
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ConfigurationError
 
@@ -73,6 +72,15 @@ class Call:
 
 Expr = Union[Num, Var, Unary, Binary, Call]
 
+
+def _normcdf(x):
+    """The standard normal CDF, ``scipy.special.ndtr``, imported on the
+    first call so that parsing and scipy-free expressions never load
+    scipy."""
+    from scipy.special import ndtr
+    return ndtr(x)
+
+
 _FUNCS_1 = {
     "sin": np.sin,
     "cos": np.cos,
@@ -80,7 +88,7 @@ _FUNCS_1 = {
     "log": np.log,
     "sqrt": np.sqrt,
     "abs": np.abs,
-    "normcdf": ndtr,
+    "normcdf": _normcdf,
 }
 _FUNCS_2 = {"max": np.maximum, "min": np.minimum}
 _CONSTANTS = {"pi": math.pi, "e": math.e}

@@ -62,6 +62,10 @@ Hoeffding's inequality, and :func:`cub_mc` reduces hyperbox cubature
 Sampler callbacks take ``(n, generator)`` and must return ``n`` values;
 all randomness flows from the :class:`~certint.core.RngStream` handed to
 the solver, so fixed seeds reproduce runs bit for bit.
+
+``scipy.special`` is imported inside the functions that call it, so
+``import certint`` and every run that neither sizes a mean stage nor
+maps to the normal measure leave scipy unloaded.
 """
 
 from __future__ import annotations
@@ -72,7 +76,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .core import (Budget, RngStream, SolverDiagnostics, ToleranceSpec,
                    tolfun)
@@ -188,6 +191,7 @@ def measure_map(points: np.ndarray, box: Hyperbox):
     if box.measure is Measure.UNIFORM:
         width = box.upper - box.lower
         return box.lower + width * pts, box.volume()
+    from scipy.special import ndtri
     # periodizers may round a coordinate to exactly 0.0 or 1.0; clamp to
     # the nearest representable interior values so the inverse CDF stays
     # finite
@@ -214,6 +218,7 @@ def kurtosis_bound(n_sig: int, alpha_sigma: float, fudge: float) -> float:
 
 def _berry_esseen_ok(n: float, tol_over_sig: float, alpha: float,
                      m3: float) -> bool:
+    from scipy.special import ndtr
     rn = math.sqrt(n)
     return ndtr(-rn * tol_over_sig) + _BERRY_ESSEEN_C * m3 / rn <= 0.5 * alpha
 
@@ -274,6 +279,7 @@ def _half_width(n: int, alpha: float, sigtilde: float, kurtmax: float) -> float:
     sd <= sigtilde: best of the Chebyshev and Berry-Esseen forms."""
     if sigtilde == 0.0:
         return 0.0
+    from scipy.special import ndtri
     rn = math.sqrt(n)
     w_cheb = sigtilde / math.sqrt(alpha * n)
     margin = 0.5 * alpha - _BERRY_ESSEEN_C * kurtmax**0.75 / rn
@@ -289,6 +295,7 @@ def _plan_magnitude(m: float, n: int, alpha: float, sigtilde: float) -> float:
     ``alpha``, or ``|m|`` itself when that half-width exceeds ``|m| / 2``
     (the mean is not resolved yet).  0 only for ``m == 0``.
     """
+    from scipy.special import ndtri
     margin = -ndtri(0.5 * alpha) * sigtilde / math.sqrt(n)
     return abs(m) - margin if margin <= 0.5 * abs(m) else abs(m)
 

@@ -358,7 +358,8 @@ def funmin(p: IntervalProblem, tolx: float = 1e-3):
     one call of ``p.f`` for all new midpoints, so ``n_evals == n_points``
     and ``iterations`` counts the rounds.  When the point budget cannot pay
     for every split, only the leftmost ones that fit are made and the run
-    stops with exit flag 1.
+    stops with exit flag 1.  A run that still has pending rows after
+    ``p.budget.maxiter`` rounds stops with exit flag 2.
 
     Returns ``(MinimizerResult, diagnostics)``: ``fmin`` is ``upper``,
     ``errest`` the largest dip over the candidate rows, and ``intervals``
@@ -400,6 +401,9 @@ def funmin(p: IntervalProblem, tolx: float = 1e-3):
         widths = (rows[0][:, -1] - rows[0][:, 0]) / (ninit - 1)
         volume_x = float(widths @ cells.sum(axis=1))
         if cut or volume_x <= tolx or not pending.any():
+            break
+        if iters >= p.budget.maxiter:
+            exit_flags |= 2
             break
         iters += 1
         fresh, rest, npoints = _split_rows(

@@ -4,9 +4,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from scipy.special import ndtri
 
-from certint import QmcParams
+from certint import (McParams, QmcParams, RngStream, ToleranceSpec,
+                     eval_batch, mean_mc, parse)
 from certint.cli import _dump_json, _fixtures, run
 
 
@@ -65,6 +68,47 @@ class TestSubcommands:
         rc = run(["meanmc", "--f", "x^2", "--abstol", "1e-3",
                   "--reltol", "0", "--alpha", "0.05", "--seed", "2"])
         assert rc == 0
+
+
+class TestMeanmcNormalSampler:
+    """``meanmc --measure normal`` maps its draws through ``measure_map``.
+    ``gen.random`` stays below 1, so the upper clip there never binds and
+    the draws keep the bits of the old inline map: a lower clip at the
+    smallest normal float, then ``ndtri``."""
+
+    @pytest.mark.parametrize("dim,expr", [(1, "x1^2"),
+                                          (2, "exp(-x1^2-x2^2)")])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_same_bits_as_the_inline_map(self, tmp_path, dim, expr, seed):
+        path = tmp_path / "r.json"
+        rc = run(["meanmc", "--f", expr, "--dim", str(dim), "--measure",
+                  "normal", "--abstol", "1e-2", "--reltol", "0", "--seed",
+                  str(seed), "--json", str(path)])
+        assert rc == 0
+        tree = parse(expr, dim)
+
+        def yrand(n, gen):
+            u = gen.random((n, dim))
+            np.clip(u, np.finfo(float).tiny, None, out=u)
+            return eval_batch(tree, ndtri(u))
+
+        tmu, diag = mean_mc(yrand, McParams(tol=ToleranceSpec(1e-2, 0.0)),
+                            RngStream(seed))
+        report = json.loads(path.read_text())
+        assert report["estimate"].hex() == tmu.hex()
+        assert report["diagnostics"]["n_evals"] == diag.n_evals
+
+
+class TestFunminMaxiter:
+    def test_maxiter_raises_flag_2(self, tmp_path):
+        path = tmp_path / "r.json"
+        rc = run(["funmin", "--f", "sin(6*x)+x^2", "--a", "-1", "--b", "2",
+                  "--abstol", "1e-9", "--tolx", "1e-9", "--maxiter", "1",
+                  "--json", str(path)])
+        assert rc == 2
+        diag = json.loads(path.read_text())["diagnostics"]
+        assert diag["exit_flags"] == 2
+        assert diag["iterations"] == 1
 
 
 class TestErrors:

@@ -1,0 +1,69 @@
+"""scipy is loaded only by the code that calls it.
+
+``import certint`` and the runs that never need ``scipy.special`` (the
+univariate solvers, the Bernoulli mean and uniform-measure QMC cubature)
+must leave scipy out of ``sys.modules``, so a cold start does not pay for
+it.  The runs that do need it must still return the same bits.
+"""
+
+import json
+import subprocess
+import sys
+
+# Runs in a fresh interpreter: tests in this process have loaded scipy.
+_CODE = r"""
+import contextlib, io, json, math, os, sys, tempfile
+
+import numpy as np
+
+import certint
+import certint.cli as cli
+
+certint.SobolGenerator(3, rng=certint.RngStream(1))
+certint.LatticeGenerator(3, rng=certint.RngStream(1))
+runs = (
+    ["funappx", "--f", "exp(1.25*x)", "--a", "-1", "--b", "2"],
+    ["funmin", "--f", "(x-0.3)^2+1", "--abstol", "1e-6", "--tolx", "1e-3"],
+    ["integral", "--f", "x^2", "--abstol", "1e-6"],
+    ["meanmcber", "--p", "0.3", "--abstol", "1e-2", "--seed", "1"],
+    ["cubsobol", "--f", "prod(x)", "--box", "0,1;0,1", "--abstol", "1e-4",
+     "--reltol", "0", "--seed", "1"],
+    ["cublattice", "--f", "prod(x)", "--box", "0,1;0,1", "--abstol", "1e-4",
+     "--reltol", "0", "--seed", "1"],
+)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.run(argv) for argv in runs]
+out = {"codes": codes, "scipy_loaded": "scipy" in sys.modules}
+
+out["normcdf"] = [v.hex() for v in certint.eval_batch(
+    certint.parse("normcdf(x1)", 1), np.array([-1.5, 0.0, 0.3]))]
+box = certint.Hyperbox([-math.inf] * 2, [math.inf] * 2,
+                       certint.Measure.NORMAL)
+res = certint.cub_sobol(lambda x: np.exp(-x[:, 0]**2 - x[:, 1]**2), box,
+                        certint.QmcParams(tol=certint.ToleranceSpec(1e-3, 0.0)),
+                        certint.RngStream(1))
+out["cub_sobol_normal"] = [res.q.hex(), res.n, res.exitflag]
+path = os.path.join(tempfile.mkdtemp(), "meanmc.json")
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.run(["meanmc", "--f", "x^2", "--abstol", "2e-3", "--reltol",
+                  "0", "--seed", "3", "--json", path])
+with open(path) as fh:
+    report = json.load(fh)
+os.remove(path)
+out["meanmc"] = [rc, report["estimate"].hex(),
+                 report["diagnostics"]["n_evals"]]
+print(json.dumps(out))
+"""
+
+
+def test_scipy_loaded_only_on_first_use():
+    proc = subprocess.run([sys.executable, "-c", _CODE], check=True,
+                          capture_output=True, text=True)
+    out = json.loads(proc.stdout)
+    assert out["codes"] == [0] * 6
+    assert out["scipy_loaded"] is False
+    # the values these runs returned when scipy was imported at module scope
+    assert out["normcdf"] == ["0x1.11a46d89647efp-4", "0x1.0000000000000p-1",
+                              "0x1.3c5ee2cc40b78p-1"]
+    assert out["cub_sobol_normal"] == ["0x1.55556880013d5p-2", 8192, 0]
+    assert out["meanmc"] == [0, "0x1.559507e381d7ep-2", 691215]

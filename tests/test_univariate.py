@@ -285,6 +285,24 @@ class TestFunmin:
         assert diag.n_evals == diag.n_points <= 1000
         assert any(lo <= 0.3 <= hi for lo, hi in r.intervals)
 
+    def test_maxiter_exit(self):
+        def problem(maxiter):
+            return IntervalProblem(f=lambda x: np.sin(6 * x) + x**2, a=-1,
+                                   b=2, abstol=1e-9,
+                                   budget=Budget(maxiter=maxiter))
+        best, free = funmin(problem(1000), tolx=1e-9)
+        assert free.exit_flags == 0 and free.iterations > 3
+        for maxiter in (1, 3):
+            r, diag = funmin(problem(maxiter), tolx=1e-9)
+            assert diag.exit_flags == 2
+            assert diag.iterations == maxiter
+            assert diag.n_points < free.n_points
+            # the cut run sampled a prefix of the free run's abscissae
+            assert r.fmin >= best.fmin
+        # a run that finishes in its last allowed round raises no flag
+        _, exact = funmin(problem(free.iterations), tolx=1e-9)
+        assert exact.exit_flags == 0 and exact.n_points == free.n_points
+
     def test_tolx_rejected(self):
         with pytest.raises(ConfigurationError):
             funmin(IntervalProblem(f=lambda x: x), tolx=0.0)
