@@ -23,11 +23,14 @@ deemed a coarser wavenumber, mirroring the decay assumption.  Only the
 block-sum bookkeeping depends on that ranking; the estimate itself is the
 plain average of the sampled values.
 
-Each doubling reuses the work of the previous level: the Sobol' refining
-block is the natural index range [2^m, 2^(m+1)) and its Walsh
-coefficients merge with the old ones by one butterfly; the lattice
-refining block is the odd indices at level m+1, merged by one radix-2 FFT
-step.
+One loop serves both cubatures; what differs is a small transform
+backend with four operations: evaluate and transform the first block,
+write the coefficient magnitudes where the block sums rank them, merge a
+refining block into the coefficients in place, and give the estimate.
+The Walsh backend (Sobol') takes as its refining block the natural index
+range [2^m, 2^(m+1)) and merges its Walsh coefficients with the old ones
+by one butterfly; the Fourier backend (lattice) takes the odd indices at
+level m+1 and merges their FFT by one radix-2 step with twiddles.
 
 Every block, the first one and each refining one, is evaluated in chunks
 of ``_EVAL_CHUNK`` rows: the chunk's points, their measure map and the
@@ -37,15 +40,23 @@ as it would be in one piece, so the results do not depend on the chunk
 size.  The (n, d) point arrays are never built: the level buffers take
 O(n) memory whatever d is, and the points of one chunk O(2^15 d).
 
-The Sobol' loop holds one real buffer of 2^m coefficients and a running
-sum of the values, and no value array.  Each block is written straight
-into the buffer (the first block into all of it, each refining block into
-its upper half after the buffer has doubled in place), summed, and
-transformed there.  The magnitudes the block sums rank go into the upper
-half the next level will fill, or, at ``mmax``, over the coefficients
-themselves, so the grown buffer of 2^(m+1) floats is a level's peak.  The
-lattice loop holds the values (its estimate averages them in interleaved
-natural order), the complex coefficients and the magnitudes.
+Both backends double their arrays in place, and write the magnitudes into
+an unfilled half or, at ``mmax``, over an array that is spent, so that in
+units of one float64 array of the final level a run holds:
+
+* Walsh, about 1: one real buffer of coefficients and a running sum of
+  the values.  Each refining block is written into the upper half of the
+  grown buffer, summed and transformed there; the magnitudes go into
+  that half before it is filled, or at ``mmax`` over the coefficients.
+* Fourier, about 3: the values (1), kept in natural order because the
+  estimate is their plain mean, and one complex buffer of coefficients
+  (2).  The magnitudes go into the upper half of the grown value array
+  before the refining values are spread into it, or at ``mmax`` over the
+  values once the estimate is taken.  The coefficient buffer grows only
+  after the refining block is evaluated; the block is copied into its
+  upper half and transformed there.
+
+The merges run one chunk at a time with one chunk of scratch.
 """
 
 from __future__ import annotations
@@ -146,10 +157,10 @@ def _block_sums(coeffs: np.ndarray, m: int, mags: np.ndarray) -> np.ndarray:
     """Dyadic block sums S(0), ..., S(m) of the ranked magnitudes.
 
     The magnitudes |coeffs| are written into ``mags`` and ranked there.
-    ``mags`` is a real array of the same length: the Sobol' loop passes the
-    upper half of its grown buffer, which the next level has not filled
-    yet, or at ``mmax`` the coefficients themselves, since nothing reads
-    them afterwards; the lattice loop passes a new array.
+    ``mags`` is a real array of the same length that nothing reads
+    afterwards: an unfilled half of a grown array (the Walsh buffer, or the
+    Fourier backend's values), or at ``mmax`` the Walsh coefficients or the
+    Fourier values themselves.
 
     Position 0 holds the DC magnitude |c[0]| (the estimate itself); the
     other magnitudes are ranked largest first, so the dyadic position
@@ -199,109 +210,63 @@ _EVAL_CHUNK = 1 << 15
 _PAIRWISE_BLOCK = 128
 
 
-def _eval_chunk(unit_points, to_box, f, m: int, indices: np.ndarray,
-                what: str) -> np.ndarray:
-    """Integrand values at one chunk of natural indices at level m.
-
-    The unit-cube points live only until ``to_box`` has mapped them, so
-    the integrand runs next to the mapped points alone.  The value count
-    is checked before the values are multiplied by the mapping's factors
-    (in the order given), so a scalar is never broadcast to a chunk.
-    """
-    pts, factors = to_box(unit_points(m, indices))
-    vals = np.asarray(f(pts), dtype=float).reshape(-1)
-    if vals.shape[0] != pts.shape[0]:
-        raise EvaluationError(
-            f"{what}: integrand returned {vals.shape[0]} values for "
-            f"{pts.shape[0]} points")
-    for factor in factors:
-        vals = vals * factor
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationError(f"{what}: integrand returned NaN or Inf")
-    return vals
-
-
 def _adaptive_cubature(unit_points, to_box, f, params: QmcParams,
-                       use_fft: bool, what: str) -> QmcResult:
+                       backend, what: str) -> QmcResult:
     """Doubling loop shared by the lattice and Sobol' cubatures.
 
     ``unit_points(m, indices)`` returns unit-cube points for natural
     indices at level m.  ``to_box(u)`` maps them to ``(pts, factors)``:
     the points ``f`` takes (transform and measure map applied) and the
     factors (Jacobian, volume) that turn ``f(pts)`` into the integrand on
-    the unit cube.
+    the unit cube.  ``backend`` is :class:`_Fourier` or :class:`_Walsh`.
     """
 
     def fill(level: int, start: int, step: int, out: np.ndarray) -> None:
         """Write the integrand at the natural indices start, start + step,
-        ... of ``level`` into ``out``, one chunk at a time."""
+        ... of ``level`` into ``out``, one chunk at a time.
+
+        The unit-cube points live only until ``to_box`` has mapped them, so
+        the integrand runs next to the mapped points alone, and a chunk's
+        arrays are freed before the next chunk's points are built.  The
+        value count is checked before the values are multiplied by the
+        mapping's factors (in the order given), so a scalar is never
+        broadcast to a chunk.
+        """
         for lo in range(0, out.size, _EVAL_CHUNK):
             hi = min(lo + _EVAL_CHUNK, out.size)
-            out[lo:hi] = _eval_chunk(
-                unit_points, to_box, f, level,
-                np.arange(start + step * lo, start + step * hi, step), what)
+            pts, factors = to_box(unit_points(
+                level, np.arange(start + step * lo, start + step * hi, step)))
+            vals = np.asarray(f(pts), dtype=float).reshape(-1)
+            if vals.shape[0] != pts.shape[0]:
+                raise EvaluationError(
+                    f"{what}: integrand returned {vals.shape[0]} values for "
+                    f"{pts.shape[0]} points")
+            for factor in factors:
+                vals = vals * factor
+            if not np.all(np.isfinite(vals)):
+                raise EvaluationError(f"{what}: integrand returned NaN or Inf")
+            out[lo:hi] = vals
+            del pts, factors, vals
 
     t_start = time.perf_counter()
-    mmin, mmax = params.mmin, params.mmax
-    m = mmin
-    n = 1 << m
-    if use_fft:
-        yvals = np.empty(n)
-        fill(m, 0, 1, yvals)
-        coeffs = np.fft.fft(yvals) / n
-    else:
-        # the values, summed and then transformed in place; ``yvals`` keeps
-        # the values of a level whose sum is not the sum of its halves
-        coeffs = np.empty(n)
-        fill(m, 0, 1, coeffs)
-        yvals = coeffs.copy() if n <= _PAIRWISE_BLOCK else None
-        ysum = np.add.reduce(coeffs)
-        fwht_inplace(coeffs)
-        coeffs /= n
-
+    m = params.mmin
+    levels = backend(fill, m)
     exitflag = 0
     while True:
-        if use_fft:
-            sums = _block_sums(coeffs, m, np.empty(n))
-            q = float(np.mean(yvals))
-        else:
-            if m < mmax:
-                # Double the buffer in place (realloc, no copy of the old
-                # half).  No view of ``coeffs`` lives across this call, so
-                # the reference check, which a tracer's or debugger's own
-                # references would trip, is not needed.
-                coeffs.resize(2 * n, refcheck=False)
-                sums = _block_sums(coeffs[:n], m, coeffs[n:])
-            else:
-                sums = _block_sums(coeffs, m, coeffs)
-            q = float(ysum / n)
+        # the estimate first: at mmax the magnitudes may overwrite what it
+        # is taken from
+        q = levels.estimate(1 << m)
+        sums = levels.block_sums(m, grow=m < params.mmax)
         bound = _certified_bound(sums, m, params.fudge)
         if cone_check(sums, params.fudge):
             exitflag |= 2
         if bound <= tolfun(params.tol, abs(q)):
             break
-        if m >= mmax:
+        if m >= params.mmax:
             exitflag |= 1
             break
-        # extend to level m+1: evaluate the refining half, merge transforms
-        if use_fft:
-            # the odd natural indices at level m+1
-            ynew = np.empty(n)
-            fill(m + 1, 1, 2, ynew)
-            coeffs = _merge_fft(coeffs, ynew)
-            yvals = _interleave(yvals, ynew)
-        else:
-            # the next block of net indices, [2^m, 2^(m+1)), in the upper
-            # half of the grown buffer
-            fill(m + 1, n, 1, coeffs[n:])
-            if 2 * n <= _PAIRWISE_BLOCK:
-                yvals = np.concatenate((yvals, coeffs[n:]))
-                ysum = np.add.reduce(yvals)
-            else:
-                ysum = ysum + np.add.reduce(coeffs[n:])
-            _merge_fwht(coeffs)
+        levels.refine(fill, m)
         m += 1
-        n *= 2
 
     return QmcResult(
         q=q, n=1 << m, bound_err=float(bound), exitflag=exitflag,
@@ -310,46 +275,106 @@ def _adaptive_cubature(unit_points, to_box, f, params: QmcParams,
     )
 
 
-def _interleave(old: np.ndarray, new: np.ndarray) -> np.ndarray:
-    out = np.empty(old.size * 2, dtype=old.dtype)
-    out[0::2] = old
-    out[1::2] = new
-    return out
+# The backends double their arrays in place with ``ndarray.resize``
+# (realloc, no copy of the old half).  No view of them lives across such a
+# call, so the reference check, which a tracer's or debugger's own
+# references would trip, is not needed.  The magnitudes the block sums
+# rank go into the last 2^m floats of the array that grew: its unfilled
+# upper half, or at ``mmax`` the whole array, which is spent by then.
+
+class _Walsh:
+    """Walsh coefficients of the Sobol' values in one real buffer, and a
+    running sum of the values."""
+
+    def __init__(self, fill, m: int):
+        n = 1 << m
+        # the values, summed and then transformed in place; ``values``
+        # keeps the values of a level whose sum is not the sum of its halves
+        self.buf = np.empty(n)
+        fill(m, 0, 1, self.buf)
+        self.values = self.buf.copy() if n <= _PAIRWISE_BLOCK else None
+        self.total = np.add.reduce(self.buf)
+        fwht_inplace(self.buf)
+        self.buf /= n
+
+    def estimate(self, n: int) -> float:
+        return float(self.total / n)
+
+    def block_sums(self, m: int, grow: bool) -> np.ndarray:
+        n = 1 << m
+        if grow:
+            self.buf.resize(2 * n, refcheck=False)
+        return _block_sums(self.buf[:n], m, self.buf[-n:])
+
+    def refine(self, fill, m: int) -> None:
+        # the next block of net indices, [2^m, 2^(m+1)), in the upper half
+        # of the grown buffer
+        n = 1 << m
+        upper = self.buf[n:]
+        fill(m + 1, n, 1, upper)
+        if 2 * n <= _PAIRWISE_BLOCK:
+            self.values = np.concatenate((self.values, upper))
+            self.total = np.add.reduce(self.values)
+        else:
+            self.total = self.total + np.add.reduce(upper)
+        fwht_inplace(upper)
+        _merge(self.buf, twiddled=False)
 
 
-def _merge_fft(coeffs: np.ndarray, ynew: np.ndarray) -> np.ndarray:
-    """Coefficients at level m+1 from level-m coefficients and the FFT of
-    the new (odd-index) values: 0.5 * (c + tw odd, c - tw odd)."""
-    n = coeffs.size
-    odd = np.fft.fft(ynew)
-    odd /= n
-    tw = np.exp(-2j * np.pi * np.arange(n) / (2 * n))
-    np.multiply(tw, odd, out=odd)
-    del tw
-    out = np.empty(2 * n, dtype=complex)
-    np.add(coeffs, odd, out=out[:n])
-    np.subtract(coeffs, odd, out=out[n:])
-    out *= 0.5
-    return out
+class _Fourier:
+    """FFT coefficients of the lattice values in one complex buffer, and
+    the values in natural order, since the estimate is their mean."""
+
+    def __init__(self, fill, m: int):
+        n = 1 << m
+        self.values = np.empty(n)
+        fill(m, 0, 1, self.values)
+        self.buf = self.values.astype(complex)
+        np.fft.fft(self.buf, out=self.buf)
+        self.buf /= n
+
+    def estimate(self, n: int) -> float:
+        return float(np.mean(self.values[:n]))
+
+    def block_sums(self, m: int, grow: bool) -> np.ndarray:
+        if grow:
+            self.values.resize(2 << m, refcheck=False)
+        return _block_sums(self.buf, m, self.values[-(1 << m):])
+
+    def refine(self, fill, m: int) -> None:
+        # the old values to the even places, the refining block (the odd
+        # natural indices at level m+1) to the odd ones; the coefficient
+        # buffer grows only then, so it is never held next to the chunks
+        n = 1 << m
+        y = self.values
+        y[0::2] = y[:n].copy()
+        fill(m + 1, 1, 2, y[1::2])
+        self.buf.resize(2 * n, refcheck=False)
+        upper = self.buf[n:]
+        upper[:] = y[1::2]
+        np.fft.fft(upper, out=upper)
+        _merge(self.buf, twiddled=True)
 
 
-def _merge_fwht(buf: np.ndarray) -> None:
-    """Walsh coefficients at level m+1, in place.
+def _merge(buf: np.ndarray, twiddled: bool) -> None:
+    """Coefficients at level m+1, in place, by one radix-2 step.
 
     ``buf`` holds the level-m coefficients c in its lower half and the
-    refining block of values in its upper half.  The values are
-    transformed where they are, to ``new``; the scaling, the butterfly
-    0.5 * (c + new, c - new) and the halving then run one cache-sized
-    chunk at a time, with one chunk of scratch for c - new.
+    transform of the refining block in its upper half, ``new``.  The
+    scaling by 1/n, for the Fourier merge the twiddles
+    tw_k = exp(-2 pi i k / 2n), the butterfly 0.5 * (c + tw new, c - tw new)
+    and the halving run one cache-sized chunk at a time, each chunk with
+    its own twiddles and one chunk of scratch for c - tw new.
     """
     n = buf.size // 2
-    coeffs, upper = buf[:n], buf[n:]
-    fwht_inplace(upper)
-    scratch = np.empty(min(n, _EVAL_CHUNK))
+    scratch = np.empty(min(n, _EVAL_CHUNK), dtype=buf.dtype)
     for lo in range(0, n, _EVAL_CHUNK):
         hi = min(lo + _EVAL_CHUNK, n)
-        c, new, diff = coeffs[lo:hi], upper[lo:hi], scratch[:hi - lo]
+        c, new, diff = buf[lo:hi], buf[n + lo:n + hi], scratch[:hi - lo]
         new /= n
+        if twiddled:
+            tw = np.exp(-2j * np.pi * np.arange(lo, hi) / (2 * n))
+            np.multiply(tw, new, out=new)
         np.subtract(c, new, out=diff)
         c += new
         c *= 0.5
@@ -360,13 +385,16 @@ def _merge_fwht(buf: np.ndarray) -> None:
 # Public cubatures
 # ---------------------------------------------------------------------------
 
-def _validate_box(box: Hyperbox, max_dim: int, what: str) -> None:
+def _validate(box: Hyperbox, params: QmcParams, max_dim: int, max_m: int,
+              what: str) -> None:
     code = box.validate()
     if code != 0:
         raise ConfigurationError(f"{what}: invalid hyperbox (code {code})")
     if box.dimension > max_dim:
         raise ConfigurationError(
             f"{what}: dimension {box.dimension} exceeds {max_dim}")
+    if params.mmax > max_m:
+        raise ConfigurationError(f"{what}: mmax cannot exceed {max_m}")
 
 
 def cub_lattice(f, box: Hyperbox, params: QmcParams,
@@ -378,23 +406,20 @@ def cub_lattice(f, box: Hyperbox, params: QmcParams,
     map), evaluated on a randomly shifted extensible lattice, and the
     FFT coefficient blocks drive the error bound.
     """
-    _validate_box(box, LATTICE_MAX_DIM, "cub_lattice")
-    if params.mmax > LATTICE_MAX_M:
-        raise ConfigurationError(f"lattice mmax cannot exceed {LATTICE_MAX_M}")
+    _validate(box, params, LATTICE_MAX_DIM, LATTICE_MAX_M, "cub_lattice")
     gen = LatticeGenerator(box.dimension, rng=rng)
-    variant = params.transform
 
     def to_box(u: np.ndarray):
-        mapped_u, weight = periodizer_map_weight(variant, u)
+        mapped_u, weight = periodizer_map_weight(params.transform, u)
         jacobian = np.prod(weight, axis=1)
         del weight      # free it before the measure map allocates
         pts, scale = measure_map(mapped_u, box)
         return pts, (jacobian, scale)
 
-    res = _adaptive_cubature(
-        lambda m, idx: gen.points_at_level(m, idx), to_box, f, params,
-        use_fft=True, what="cub_lattice")
-    res.extra.update({"transform": variant.value, "shift": gen.shift.tolist()})
+    res = _adaptive_cubature(gen.points_at_level, to_box, f, params,
+                             _Fourier, "cub_lattice")
+    res.extra.update({"transform": params.transform.value,
+                      "shift": gen.shift.tolist()})
     return res
 
 
@@ -405,9 +430,7 @@ def cub_sobol(f, box: Hyperbox, params: QmcParams,
     Same doubling loop over a digitally shifted Sobol' net with fast
     Walsh-Hadamard coefficients; the Walsh basis needs no periodizer.
     """
-    _validate_box(box, SOBOL_MAX_DIM, "cub_sobol")
-    if params.mmax > SOBOL_MAX_BITS:
-        raise ConfigurationError(f"Sobol' mmax cannot exceed {SOBOL_MAX_BITS}")
+    _validate(box, params, SOBOL_MAX_DIM, SOBOL_MAX_BITS, "cub_sobol")
     gen = SobolGenerator(box.dimension, rng=rng)
 
     def to_box(u: np.ndarray):
@@ -418,6 +441,6 @@ def cub_sobol(f, box: Hyperbox, params: QmcParams,
     # for contiguous natural index ranges.
     res = _adaptive_cubature(
         lambda m, idx: gen.points(int(idx[0]), int(idx[-1]) + 1),
-        to_box, f, params, use_fft=False, what="cub_sobol")
+        to_box, f, params, _Walsh, "cub_sobol")
     res.extra.update({"digital_shift": gen.digital_shift.tolist()})
     return res

@@ -331,9 +331,16 @@ def fwht_inplace(values: np.ndarray) -> np.ndarray:
     _check_pow2(n)
     chunk = min(n, _FWHT_CHUNK)
     scratch = np.empty(min(n // 2, _FWHT_CHUNK), dtype=a.dtype)
-    for lo in range(0, n, chunk):
-        _fwht_stages(a[lo:lo + chunk], 1, chunk, scratch)
-    _fwht_stages(a, chunk, n, scratch)
+    # numpy sets up iterator buffers of its buffer size (8192 elements by
+    # default) per operand for each ufunc call on the 2-d views of the
+    # stages h >= 16, though nothing is cast; 64 elements cut them to a few
+    # hundred bytes and were no slower at 2^16 to 2^23.  Leaving the
+    # errstate context restores the size.
+    with np.errstate():
+        np.setbufsize(64)
+        for lo in range(0, n, chunk):
+            _fwht_stages(a[lo:lo + chunk], 1, chunk, scratch)
+        _fwht_stages(a, chunk, n, scratch)
     return a
 
 

@@ -30,8 +30,7 @@ from certint.qmc_cubature import (
     _PAIRWISE_BLOCK,
     _block_sums,
     _certified_bound,
-    _merge_fft,
-    _merge_fwht,
+    _merge,
 )
 
 UNIT2 = Hyperbox([0.0, 0.0], [1.0, 1.0])
@@ -73,7 +72,9 @@ class TestBlockSumsOracle:
         want_sums, want_bound = _argsort_block_sums_and_bound(
             coeffs, m, default_fudge)
         if kind == "complex":
-            # the lattice loop: magnitudes into a new array
+            # the lattice loop: magnitudes into the unfilled half of the
+            # grown value array, or at mmax over the values, a real array
+            # apart from the coefficients either way
             places = [(coeffs, np.empty(n))]
         else:
             # the Sobol' loop: magnitudes into the upper half of the grown
@@ -347,31 +348,38 @@ class TestChunkedEvaluation:
         return peak
 
     def test_peak_memory_does_not_grow_with_dimension(self):
-        # In units of one float64 array of the final 2^18 points: the
-        # level buffers take about 1 (Sobol') and 5 (lattice, complex
-        # coefficients), one chunk of 8 coordinates about 1.  Whole
-        # (2^m, 8) arrays would add 8 units per array.
+        # In units of one float64 array of the final 2^18 points: one
+        # chunk of 8 coordinates takes 1, and a chunk's arrays peak at
+        # about 2 (Sobol': its integer state and its points) or 3
+        # (lattice: its points, their periodized image and its weights).
+        # Next to them, while the last refining block is evaluated, the
+        # Sobol' loop holds its grown buffer (1) and the lattice loop its
+        # grown values (1) and the level's complex coefficients (1): 3.13
+        # and 5.13 measured.  Whole (2^m, 8) arrays would add 8 units per
+        # array.
         unit = 8 * 2**18
         d = 8
         box = Hyperbox([-math.inf] * d, [math.inf] * d, Measure.NORMAL)
         params = QmcParams(tol=ToleranceSpec(1e-14, 0.0), mmin=10, mmax=18)
         f = lambda x: np.prod(x * x, axis=1)
-        for solver, limit in ((cub_sobol, 5), (cub_lattice, 8)):
+        for solver, limit in ((cub_sobol, 5), (cub_lattice, 5.65)):
             peak = self._traced_peak(solver, box, params, f)
             assert peak < limit * unit, (solver.__name__, peak / unit)
 
     def test_peak_memory_of_the_level_buffers(self):
         # d = 1, so the level buffers dominate.  In units of one float64
         # array of the final 2^20 points: the Sobol' loop holds one buffer
-        # that doubles in place (about 1.1 with the chunk's arrays; a value
-        # array next to the coefficients and their magnitudes would make
-        # 3); the lattice holds the values, the complex coefficients and
-        # the magnitudes (about 5).
+        # that doubles in place (1.09 measured with the chunk's arrays; a
+        # value array next to the coefficients and their magnitudes would
+        # make 3); the lattice loop holds the values (1) and one complex
+        # buffer (2), both doubled in place, with the magnitudes in the
+        # values' unfilled half or over the values (3.25 measured; new
+        # arrays for the magnitudes and the merge made 5.0).
         unit = 8 * 2**20
         box = Hyperbox([-math.inf], [math.inf], Measure.NORMAL)
         params = QmcParams(tol=ToleranceSpec(1e-14, 0.0), mmin=10, mmax=20)
         f = lambda x: x[:, 0] ** 2
-        for solver, limit in ((cub_sobol, 2), (cub_lattice, 5.5)):
+        for solver, limit in ((cub_sobol, 2), (cub_lattice, 3.75)):
             peak = self._traced_peak(solver, box, params, f)
             assert peak < limit * unit, (solver.__name__, peak / unit)
 
@@ -438,6 +446,55 @@ class TestRunningSum:
         assert res.bound_err.hex() == bound.hex()
 
 
+def _merge_fft_reference(coeffs, ynew):
+    """Level m+1 lattice coefficients in a new array, from the level-m ones
+    and the FFT of the refining (odd-index) values, with the twiddles of
+    all of them in one array."""
+    n = coeffs.size
+    odd = np.fft.fft(ynew) / n
+    tw = np.exp(-2j * np.pi * np.arange(n) / (2 * n))
+    return 0.5 * np.concatenate([coeffs + tw * odd, coeffs - tw * odd])
+
+
+class TestLatticeLevels:
+    """The lattice estimate is ``np.mean`` of the values in natural order,
+    and its block sums and bound are those of the one-piece merges, bit for
+    bit, also where the levels cross ``_EVAL_CHUNK`` values."""
+
+    M = _EVAL_CHUNK.bit_length() - 1
+
+    @pytest.mark.parametrize("mmin,mmax", [
+        (1, 5), (1, M + 1), (M - 1, M + 1), (M, M + 2), (M + 1, M + 2)])
+    def test_matches_mean_and_reference(self, mmin, mmax):
+        values = []
+
+        def f(x):
+            y = np.exp(4.0 * x[:, 0]) * np.sin(7.0 * x[:, 1]) + 1e3 * x[:, 1]
+            values.append(y.copy())
+            return y
+
+        params = QmcParams(tol=ToleranceSpec(1e-300, 0.0), mmin=mmin,
+                           mmax=mmax, transform=Periodizer.ID)
+        res = cub_lattice(f, UNIT2, params, RngStream(mmin + mmax))
+        assert res.n == 2**mmax and res.exitflag & 1
+        # with no periodizer on the unit box the Jacobian and the volume
+        # are 1.0, so the recorded values are the integrand the cubature
+        # averages: the first block, then the odd indices of each level
+        recorded = np.concatenate(values)
+        y = recorded[:2**mmin]
+        coeffs = np.fft.fft(y) / y.size
+        for m in range(mmin, mmax):
+            ynew = recorded[2**m:2**(m + 1)]
+            coeffs = _merge_fft_reference(coeffs, ynew)
+            y = np.stack([y, ynew], axis=1).reshape(-1)
+        assert res.q.hex() == float(np.mean(y)).hex()
+        sums, bound = _argsort_block_sums_and_bound(coeffs, mmax,
+                                                    default_fudge)
+        assert [v.hex() for v in res.extra["block_sums"]] == \
+            [float(v).hex() for v in sums]
+        assert res.bound_err.hex() == bound.hex()
+
+
 class TestMergeOracle:
     """The merges equal their one-piece formulas bit for bit, also when
     they run over more than one chunk."""
@@ -452,7 +509,8 @@ class TestMergeOracle:
         new /= n
         want = 0.5 * np.concatenate([coeffs + new, coeffs - new])
         got = np.concatenate([coeffs, ynew])
-        _merge_fwht(got)
+        fwht_inplace(got[n:])
+        _merge(got, twiddled=False)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("n", [1, 8, 2**17])
@@ -460,10 +518,12 @@ class TestMergeOracle:
         rng = np.random.default_rng(n)
         coeffs = rng.normal(size=n) + 1j * rng.normal(size=n)
         ynew = rng.normal(size=n)
-        odd = np.fft.fft(ynew) / n
-        tw = np.exp(-2j * np.pi * np.arange(n) / (2 * n))
-        want = 0.5 * np.concatenate([coeffs + tw * odd, coeffs - tw * odd])
-        got = _merge_fft(coeffs, ynew)
+        want = _merge_fft_reference(coeffs, ynew)
+        # the lattice loop's buffer: the coefficients, then the refining
+        # values as complex numbers, transformed in place
+        got = np.concatenate([coeffs, ynew.astype(complex)])
+        np.fft.fft(got[n:], out=got[n:])
+        _merge(got, twiddled=True)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 

@@ -224,19 +224,30 @@ class TestTransforms:
         assert got is v
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
-    def test_fwht_scratch_is_one_chunk(self):
-        # the scratch holds _FWHT_CHUNK elements whatever the length (half
-        # the length would be 4 MiB here); numpy's iterator buffers of
-        # 3 x 8192 elements for the 2-d views add a fixed 192 KiB
-        v = np.ones(2**20)
+    @staticmethod
+    def _fwht_peak(n):
+        v = np.ones(n)
         fwht_inplace(v)
         tracemalloc.start()
         try:
             fwht_inplace(v)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * _FWHT_CHUNK + 2**18, peak
+
+    def test_fwht_scratch_is_one_chunk(self):
+        # the scratch holds _FWHT_CHUNK elements whatever the length (half
+        # the length would be 4 MiB here)
+        peak = self._fwht_peak(2**20)
+        assert peak <= 8 * _FWHT_CHUNK + 2**14, peak
+
+    def test_fwht_allocates_only_its_scratch(self):
+        # the scratch is half the length here, 256 KiB; numpy's iterator
+        # buffers of 8192 elements per operand on the 2-d views of the
+        # stages h >= 16 would add 128-192 KiB
+        n = 2**16
+        peak = self._fwht_peak(n)
+        assert peak <= 8 * (n // 2) + 2**14, peak
 
     def test_fwht_rejects_non_power(self):
         with pytest.raises(ConfigurationError):
