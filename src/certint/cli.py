@@ -5,14 +5,25 @@ embedded table of worked examples and checks every estimate against its
 closed-form (or high-precision oracle) truth within the documented
 generalized tolerance.
 
+Each subcommand declares only the flags it reads, so a flag it does not
+declare is a parse error.  ``funappx``, ``funmin`` and ``integral`` work
+at dimension 1 and draw no random numbers: they take neither ``--dim``
+nor ``--seed``.  ``meanmcber`` draws from its built-in Bernoulli
+generator: it takes ``--seed`` but neither ``--f`` nor ``--dim``.
+``meanmc`` takes both; ``cubmc``, ``cublattice`` and ``cubsobol`` take
+both, with ``--dim`` optional and checked against ``--box``.
+
 The argument parser is built once per process, on the first :func:`run`,
 and reused by every later call.
 
-Reports serialize to a single JSON object per run (``--json PATH``);
-timing is kept out of the JSON so fixed-seed reports are byte-identical
-across runs.  Exit codes: 0 clean, 1 configuration/parse error, 2 a
-documented warning flag was raised, 3 one or more example fixtures
-failed.
+A run's report is a dict: ``command``, ``inputs`` (the parsed flags),
+``estimate`` and ``diagnostics`` (the JSON view of the run's
+:class:`SolverDiagnostics`), plus ``grid`` for ``funappx --grid N`` and
+``pass``/``truth``/``truth_provenance`` per ``examples`` row.  ``--json
+PATH`` writes it (a list of them for ``examples``); timing is kept out of
+the JSON so fixed-seed reports are byte-identical across runs.  Exit
+codes: 0 clean, 1 configuration/parse error, 2 a documented warning flag
+was raised, 3 one or more example fixtures failed.
 """
 
 from __future__ import annotations
@@ -22,14 +33,13 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from . import exprlang
 from .core import (Budget, RngStream, SolverDiagnostics, ToleranceSpec,
-                   TolType, _jsonable, tolfun)
+                   TolType, tolfun)
 from .errors import CertintError, ConfigurationError
 from .montecarlo import (Hyperbox, McParams, Measure, cub_mc, mean_mc,
                          mean_mc_ber, measure_map)
@@ -37,41 +47,7 @@ from .qmc_cubature import QmcParams, cub_lattice, cub_sobol
 from .qmc_points import Periodizer
 from .univariate import IntervalProblem, eval_approx, funappx, funmin, integral
 
-__all__ = ["RunReport", "run", "run_doc_examples", "main"]
-
-_SUBCOMMANDS = ("funappx", "funmin", "integral", "meanmc", "meanmcber",
-                "cubmc", "cublattice", "cubsobol", "examples")
-
-
-@dataclass
-class RunReport:
-    """One solver invocation: echoed inputs, estimate, diagnostics (the
-    JSON view of the run's :class:`SolverDiagnostics`)."""
-
-    command: str
-    inputs: dict
-    estimate: float | None
-    diagnostics: dict
-    pass_: bool | None = None
-    truth: float | None = None
-    truth_provenance: str | None = None
-    grid: dict | None = None
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "command": self.command,
-            "inputs": _jsonable(self.inputs),
-            "estimate": self.estimate,
-            "diagnostics": self.diagnostics,
-        }
-        if self.pass_ is not None:
-            out["pass"] = bool(self.pass_)
-        if self.truth is not None:
-            out["truth"] = float(self.truth)
-            out["truth_provenance"] = self.truth_provenance
-        if self.grid is not None:
-            out["grid"] = self.grid     # lists of floats from .tolist()
-        return out
+__all__ = ["run", "run_doc_examples", "main"]
 
 
 def _dump_json(payload, path: str) -> None:
@@ -136,23 +112,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, *, tol_default=None, rel=False, boxed=False):
-        p.add_argument("--f", help="integrand expression, e.g. 'x^2'")
-        if boxed:
-            p.add_argument("--dim", type=int, default=None,
-                           help="must equal the dimension of --box if given")
-        else:
-            p.add_argument("--dim", type=int, default=1)
+    def common(p, tol_default, *, expr=True, rel=False, seeded=True):
+        if expr:
+            p.add_argument("--f", required=True,
+                           help="integrand expression, e.g. 'x^2'")
         p.add_argument("--abstol", type=float, default=tol_default)
         if rel:
             p.add_argument("--reltol", type=float, default=None)
-            p.add_argument("--toltype", choices=["max", "comb"], default="max")
+            p.add_argument("--toltype", choices=[t.value for t in TolType],
+                           default="max")
             p.add_argument("--theta", type=float, default=1.0)
-        p.add_argument("--seed", type=int, default=0)
+        if seeded:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", dest="json_path", default=None,
                        help="write the run report to this path")
 
     def interval(p):
+        common(p, 1e-6, seeded=False)
         p.add_argument("--a", type=float, default=0.0)
         p.add_argument("--b", type=float, default=1.0)
         p.add_argument("--nlo", type=int, default=10)
@@ -160,49 +136,54 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--nmax", type=int, default=10_000_000)
         p.add_argument("--maxiter", type=int, default=1000)
 
+    def measure(p):
+        p.add_argument("--measure", choices=["uniform", "normal"],
+                       default="uniform")
+
+    def boxed(p, tol_default):
+        common(p, tol_default, rel=True)
+        p.add_argument("--dim", type=int, default=None,
+                       help="must equal the dimension of --box if given")
+        p.add_argument("--box", required=True,
+                       help="'l1,u1;l2,u2;...' (inf allowed with "
+                            "--measure normal)")
+        measure(p)
+
     p = sub.add_parser("funappx", help="piecewise-linear approximation")
-    common(p, tol_default=1e-6)
     interval(p)
     p.add_argument("--grid", type=int, default=None,
                    help="dump the approximant on N uniform points")
 
     p = sub.add_parser("funmin", help="guaranteed global minimum")
-    common(p, tol_default=1e-6)
     interval(p)
     p.add_argument("--tolx", type=float, default=1e-3)
 
-    p = sub.add_parser("integral", help="adaptive trapezoidal quadrature")
-    common(p, tol_default=1e-6)
-    interval(p)
+    interval(sub.add_parser("integral",
+                            help="adaptive trapezoidal quadrature"))
 
     p = sub.add_parser("meanmc", help="guaranteed Monte Carlo mean of f(U)")
-    common(p, tol_default=1e-2, rel=True)
+    common(p, 1e-2, rel=True)
+    p.add_argument("--dim", type=int, default=1)
     p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("--measure", choices=["uniform", "normal"], default="uniform")
+    measure(p)
     p.add_argument("--nbudget", type=int, default=1_000_000_000)
 
     p = sub.add_parser("meanmcber", help="Bernoulli mean via Hoeffding")
-    common(p, tol_default=1e-2)
+    common(p, 1e-2, expr=False)
     p.add_argument("--p", type=float, required=True,
                    help="success probability of the built-in generator")
     p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--nmax", type=int, default=1_000_000_000)
 
     p = sub.add_parser("cubmc", help="Monte Carlo cubature over a hyperbox")
-    common(p, tol_default=1e-2, rel=True, boxed=True)
+    boxed(p, 1e-2)
     p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("--box", required=True,
-                   help="'l1,u1;l2,u2;...' (inf allowed with --measure normal)")
-    p.add_argument("--measure", choices=["uniform", "normal"], default="uniform")
     p.add_argument("--nbudget", type=int, default=1_000_000_000)
 
     for name, helptext in (("cublattice", "rank-1 lattice cubature"),
                            ("cubsobol", "Sobol' cubature")):
         p = sub.add_parser(name, help=helptext)
-        common(p, tol_default=1e-4, rel=True, boxed=True)
-        p.add_argument("--box", required=True)
-        p.add_argument("--measure", choices=["uniform", "normal"],
-                       default="uniform")
+        boxed(p, 1e-4)
         p.add_argument("--mmin", type=int, default=10)
         p.add_argument("--mmax", type=int, default=24)
         if name == "cublattice":
@@ -247,16 +228,10 @@ def _box_arg(args, inputs: dict) -> Hyperbox:
 
 
 def _tolspec(args, default_rel: float) -> ToleranceSpec:
-    reltol = getattr(args, "reltol", None)
-    if reltol is None:
-        reltol = default_rel
     return ToleranceSpec(
         abstol=args.abstol,
-        reltol=reltol,
-        toltype=TolType.COMB if getattr(args, "toltype", "max") == "comb"
-        else TolType.MAX,
-        theta=getattr(args, "theta", 1.0),
-    )
+        reltol=default_rel if args.reltol is None else args.reltol,
+        toltype=TolType(args.toltype), theta=args.theta)
 
 
 def _expr_fn(text: str, dim: int):
@@ -277,39 +252,32 @@ def _qmc_diagnostics(algorithm: str, res,
 # Subcommand runners
 # ---------------------------------------------------------------------------
 
-def _run_subcommand(args) -> tuple:
-    """Returns (report, exit_flags)."""
+def _run_subcommand(args) -> dict:
+    """Run one solver subcommand; returns its report."""
     cmd = args.command
     inputs = {k: v for k, v in vars(args).items()
               if k not in ("command", "json_path") and v is not None}
+    report = {"command": cmd, "inputs": inputs, "estimate": None}
 
     if cmd in ("funappx", "funmin", "integral"):
-        if not args.f:
-            raise ConfigurationError("--f is required")
-        f = _expr_fn(args.f, 1)
         problem = IntervalProblem(
-            f=f, a=args.a, b=args.b, abstol=args.abstol,
+            f=_expr_fn(args.f, 1), a=args.a, b=args.b, abstol=args.abstol,
             nlo=args.nlo, nhi=args.nhi,
             budget=Budget(nmax=args.nmax, maxiter=args.maxiter),
         )
-        grid = None
         if cmd == "funappx":
             approx, diag = funappx(problem)
-            estimate = None
             if args.grid:
                 xs = np.linspace(args.a, args.b, args.grid)
-                grid = {"xs": xs.tolist(),
-                        "ys": eval_approx(approx, xs).tolist()}
+                report["grid"] = {"xs": xs.tolist(),
+                                  "ys": eval_approx(approx, xs).tolist()}
         elif cmd == "funmin":
             result, diag = funmin(problem, tolx=args.tolx)
-            estimate = result.fmin
+            report["estimate"] = result.fmin
         else:
-            estimate, diag = integral(problem)
-        report = RunReport(cmd, inputs, estimate, diag.to_json_dict(),
-                           grid=grid)
-        return report, diag.exit_flags
+            report["estimate"], diag = integral(problem)
 
-    if cmd == "meanmcber":
+    elif cmd == "meanmcber":
         if not (0.0 <= args.p <= 1.0):
             raise ConfigurationError("--p must be in [0,1]")
         pval = args.p
@@ -317,14 +285,11 @@ def _run_subcommand(args) -> tuple:
         def yrand(n, gen):
             return (gen.random(n) < pval).astype(float)
 
-        p_hat, diag = mean_mc_ber(yrand, abstol=args.abstol, alpha=args.alpha,
-                                  nmax=args.nmax, rng=RngStream(args.seed))
-        report = RunReport(cmd, inputs, p_hat, diag.to_json_dict())
-        return report, diag.exit_flags
+        report["estimate"], diag = mean_mc_ber(
+            yrand, abstol=args.abstol, alpha=args.alpha, nmax=args.nmax,
+            rng=RngStream(args.seed))
 
-    if cmd == "meanmc":
-        if not args.f:
-            raise ConfigurationError("--f is required")
+    elif cmd == "meanmc":
         f = _expr_fn(args.f, args.dim)
         params = McParams(tol=_tolspec(args, 1e-1), alpha=args.alpha,
                           budget=Budget(nbudget=args.nbudget))
@@ -339,27 +304,21 @@ def _run_subcommand(args) -> tuple:
                 u = measure_map(u, normal)[0]
             return f(u)
 
-        tmu, diag = mean_mc(yrand, params, RngStream(args.seed))
-        report = RunReport(cmd, inputs, tmu, diag.to_json_dict())
-        return report, diag.exit_flags
+        report["estimate"], diag = mean_mc(yrand, params,
+                                           RngStream(args.seed))
 
-    if cmd == "cubmc":
-        if not args.f:
-            raise ConfigurationError("--f is required")
+    elif cmd == "cubmc":
         box = _box_arg(args, inputs)
         f = _expr_fn(args.f, box.dimension)
         params = McParams(tol=_tolspec(args, 1e-1), alpha=args.alpha,
                           budget=Budget(nbudget=args.nbudget))
-        q, diag = cub_mc(f, box, params, RngStream(args.seed))
+        report["estimate"], diag = cub_mc(f, box, params,
+                                          RngStream(args.seed))
         if diag.exit_flags >= 10:
             raise ConfigurationError(
                 f"invalid hyperbox (exit code {diag.exit_flags})")
-        report = RunReport(cmd, inputs, q, diag.to_json_dict())
-        return report, diag.exit_flags
 
-    if cmd in ("cublattice", "cubsobol"):
-        if not args.f:
-            raise ConfigurationError("--f is required")
+    else:   # cublattice, cubsobol
         box = _box_arg(args, inputs)
         f = _expr_fn(args.f, box.dimension)
         params = QmcParams(
@@ -368,11 +327,11 @@ def _run_subcommand(args) -> tuple:
         )
         solver = cub_lattice if cmd == "cublattice" else cub_sobol
         res = solver(f, box, params, RngStream(args.seed))
+        report["estimate"] = res.q
         diag = _qmc_diagnostics(cmd, res, params)
-        report = RunReport(cmd, inputs, res.q, diag.to_json_dict())
-        return report, diag.exit_flags
 
-    raise ConfigurationError(f"unknown subcommand {cmd!r}")
+    report["diagnostics"] = diag.to_json_dict()
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +341,7 @@ def _run_subcommand(args) -> tuple:
 _SQRT_PI = math.sqrt(math.pi)
 
 
-def _fixtures(seed: int) -> list:
+def _fixtures() -> list:
     """The full embedded table of worked examples with oracle truths."""
     from scipy.special import erf, ndtr
     fx = []
@@ -577,10 +536,11 @@ def _fixtures(seed: int) -> list:
 
 
 def run_doc_examples(seed: int = 1):
-    """Execute every embedded worked example; returns (reports, n_failed)."""
+    """Execute every embedded worked example; returns (reports, n_failed),
+    one report dict per example."""
     reports = []
     failed = 0
-    for i, fx in enumerate(_fixtures(seed)):
+    for i, fx in enumerate(_fixtures()):
         estimate, diag = fx["run"](seed + i)
         if fx["check"] is not None:
             ok = fx["check"](estimate, diag)
@@ -588,15 +548,15 @@ def run_doc_examples(seed: int = 1):
             ok = (abs(estimate - fx["truth"]) <= fx["tol"]
                   and diag.exit_flags == 0)
         failed += 0 if ok else 1
-        reports.append(RunReport(
-            command="examples/" + fx["name"],
-            inputs={"seed": seed + i},
-            estimate=float(estimate),
-            diagnostics=diag.to_json_dict(),
-            pass_=ok,
-            truth=float(fx["truth"]),
-            truth_provenance=fx["provenance"],
-        ))
+        reports.append({
+            "command": "examples/" + fx["name"],
+            "inputs": {"seed": seed + i},
+            "estimate": float(estimate),
+            "diagnostics": diag.to_json_dict(),
+            "pass": bool(ok),
+            "truth": float(fx["truth"]),
+            "truth_provenance": fx["provenance"],
+        })
     return reports, failed
 
 
@@ -615,25 +575,26 @@ def run(argv) -> int:
     try:
         if args.command == "examples":
             reports, failed = run_doc_examples(args.seed)
-            width = max(len(r.command) for r in reports)
+            width = max(len(r["command"]) for r in reports)
             for r in reports:
-                status = "PASS" if r.pass_ else "FAIL"
-                print(f"{r.command:<{width}}  {status}  "
-                      f"estimate={r.estimate:.10g}  truth={r.truth:.10g}")
+                status = "PASS" if r["pass"] else "FAIL"
+                print(f"{r['command']:<{width}}  {status}  "
+                      f"estimate={r['estimate']:.10g}  "
+                      f"truth={r['truth']:.10g}")
             print(f"{len(reports) - failed}/{len(reports)} examples passed")
             if args.json_path:
-                _dump_json([r.to_json_dict() for r in reports], args.json_path)
+                _dump_json(reports, args.json_path)
             return 3 if failed else 0
 
-        report, flags = _run_subcommand(args)
-        if report.estimate is not None:
-            print(f"estimate = {report.estimate:.12g}")
-        diag = report.diagnostics
+        report = _run_subcommand(args)
+        if report["estimate"] is not None:
+            print(f"estimate = {report['estimate']:.12g}")
+        diag = report["diagnostics"]
         print(f"n = {diag['n_points']}, errest = {diag['errest']:.6g}, "
               f"exit_flags = {diag['exit_flags']}")
         if args.json_path:
-            _dump_json(report.to_json_dict(), args.json_path)
-        return 2 if flags else 0
+            _dump_json(report, args.json_path)
+        return 2 if diag["exit_flags"] else 0
     except CertintError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

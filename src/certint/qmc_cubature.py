@@ -217,8 +217,9 @@ def _adaptive_cubature(unit_points, to_box, f, params: QmcParams,
     ``unit_points(m, indices)`` returns unit-cube points for natural
     indices at level m.  ``to_box(u)`` maps them to ``(pts, factors)``:
     the points ``f`` takes (transform and measure map applied) and the
-    factors (Jacobian, volume) that turn ``f(pts)`` into the integrand on
-    the unit cube.  ``backend`` is :class:`_Fourier` or :class:`_Walsh`.
+    factors (the Jacobian, if the transform has one, then the volume) that
+    turn ``f(pts)`` into the integrand on the unit cube.  ``backend`` is
+    :class:`_Fourier` or :class:`_Walsh`.
     """
 
     def fill(level: int, start: int, step: int, out: np.ndarray) -> None:
@@ -411,10 +412,11 @@ def cub_lattice(f, box: Hyperbox, params: QmcParams,
 
     def to_box(u: np.ndarray):
         mapped_u, weight = periodizer_map_weight(params.transform, u)
-        jacobian = np.prod(weight, axis=1)
+        # no Jacobian for the measure-preserving maps
+        jacobian = () if weight is None else (np.prod(weight, axis=1),)
         del weight      # free it before the measure map allocates
         pts, scale = measure_map(mapped_u, box)
-        return pts, (jacobian, scale)
+        return pts, jacobian + (scale,)
 
     res = _adaptive_cubature(gen.points_at_level, to_box, f, params,
                              _Fourier, "cub_lattice")

@@ -183,8 +183,7 @@ class SobolGenerator:
     an ``rng`` the raw net is produced.
     """
 
-    def __init__(self, dimension: int, rng: RngStream | None = None,
-                 scramble: bool = True):
+    def __init__(self, dimension: int, rng: RngStream | None = None):
         if not (1 <= dimension <= SOBOL_MAX_DIM):
             raise ConfigurationError(
                 f"Sobol' dimension must be in [1, {SOBOL_MAX_DIM}], got {dimension}"
@@ -195,8 +194,7 @@ class SobolGenerator:
             self.digital_shift = np.zeros(dimension, dtype=np.uint64)
         else:
             gen = rng.generator()
-            if scramble:
-                self._v = _matrix_scramble(self._v, gen)
+            self._v = _matrix_scramble(self._v, gen)
             self.digital_shift = gen.integers(
                 0, 1 << SOBOL_MAX_BITS, size=dimension, dtype=np.uint64
             )
@@ -395,14 +393,15 @@ class Periodizer(enum.Enum):
 def periodizer_map_weight(variant: Periodizer, u: np.ndarray):
     """Coordinate map phi(u) and weight phi'(u) for one transform.
 
-    Baker's tent map is measure preserving (weight 1); the polynomial and
-    Sidi maps carry their Jacobian as the weight so that the transformed
-    integrand keeps the same integral over the unit cube.
+    The identity and Baker's tent map preserve the measure, so their
+    weight is ``None``: there is no Jacobian to multiply by.  The
+    polynomial and Sidi maps carry their Jacobian as the weight so that
+    the transformed integrand keeps the same integral over the unit cube.
     """
     if variant is Periodizer.ID:
-        return u, np.ones_like(u)
+        return u, None
     if variant is Periodizer.BAKER:
-        return 1.0 - np.abs(2.0 * u - 1.0), np.ones_like(u)
+        return 1.0 - np.abs(2.0 * u - 1.0), None
     if variant is Periodizer.C0:
         return u * u * (3.0 - 2.0 * u), 6.0 * u * (1.0 - u)
     if variant is Periodizer.C1:
@@ -425,8 +424,9 @@ def periodize(f: Callable[[np.ndarray], np.ndarray],
         u = np.asarray(u, dtype=float)
         mapped, weight = periodizer_map_weight(variant, u)
         vals = np.asarray(f(mapped), dtype=float).reshape(-1)
-        if u.ndim == 1:
-            return vals * np.prod(weight)
-        return vals * np.prod(weight, axis=1)
+        if weight is not None:
+            # one point's coordinates (1-d u) or one point per row
+            vals = vals * np.prod(weight, axis=-1)
+        return vals
 
     return wrapped

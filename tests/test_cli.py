@@ -199,7 +199,7 @@ class TestQmcIterations:
     def test_examples_rows(self):
         # row i of the examples table runs with seed 1 + i
         mmin = QmcParams().mmin
-        rows = [(i, fx) for i, fx in enumerate(_fixtures(1))
+        rows = [(i, fx) for i, fx in enumerate(_fixtures())
                 if fx["name"].split()[0] in ("cublattice", "cubsobol")]
         assert len(rows) == 11
         for i, fx in rows:
@@ -208,6 +208,54 @@ class TestQmcIterations:
             _, diag = fx["run"](1 + i)
             out = diag.to_json_dict()
             assert out["iterations"] == out["extra"]["m"] - mmin + 1, fx["name"]
+
+
+class TestDeclaredFlags:
+    """A subcommand declares only the flags it reads, and its report's
+    ``inputs`` echoes exactly those (``--json`` aside)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["integral", "--f", "x^2", "--seed", "1"],
+        ["funappx", "--f", "x^2", "--dim", "2"],
+        ["meanmcber", "--p", "0.3", "--f", "x"],
+    ])
+    def test_undeclared_flag_rejected(self, tmp_path, argv):
+        path = tmp_path / "r.json"
+        assert run(argv + ["--json", str(path)]) == 1
+        assert not path.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["funmin"], ["meanmc"], ["cubmc", "--box", "0,1"],
+        ["cublattice", "--box", "0,1"], ["cubsobol", "--box", "0,1"],
+    ])
+    def test_expression_required(self, argv):
+        assert run(argv) == 1
+
+    INTERVAL = {"f", "abstol", "a", "b", "nlo", "nhi", "nmax", "maxiter"}
+    SEEDED = {"abstol", "reltol", "toltype", "theta", "seed"}
+    BOXED = SEEDED | {"f", "dim", "box", "measure"}
+    CASES = {
+        "funappx": (["--f", "x^2", "--grid", "3"], INTERVAL | {"grid"}),
+        "funmin": (["--f", "x^2"], INTERVAL | {"tolx"}),
+        "integral": (["--f", "x^2"], INTERVAL),
+        "meanmc": (["--f", "x^2", "--reltol", "0"],
+                   SEEDED | {"f", "dim", "alpha", "measure", "nbudget"}),
+        "meanmcber": (["--p", "0.3"],
+                      {"abstol", "seed", "p", "alpha", "nmax"}),
+        "cubmc": (["--f", "x1", "--box", "0,1", "--reltol", "0"],
+                  BOXED | {"alpha", "nbudget"}),
+        "cublattice": (["--f", "x1", "--box", "0,1", "--reltol", "0"],
+                       BOXED | {"mmin", "mmax", "transform"}),
+        "cubsobol": (["--f", "x1", "--box", "0,1", "--reltol", "0"],
+                     BOXED | {"mmin", "mmax"}),
+    }
+
+    @pytest.mark.parametrize("cmd", sorted(CASES))
+    def test_inputs_are_the_declared_flags(self, tmp_path, cmd):
+        argv, declared = self.CASES[cmd]
+        path = tmp_path / "r.json"
+        assert run([cmd] + argv + ["--json", str(path)]) == 0
+        assert set(json.loads(path.read_text())["inputs"]) == declared
 
 
 class TestBoxDimension:

@@ -292,6 +292,12 @@ class TestPeriodizers:
             _, w = periodizer_map_weight(Periodizer.C1SIN, np.array([u]))
             assert w[0] == pytest.approx(0.0, abs=1e-15)
 
+    def test_measure_preserving_maps_have_no_weight(self):
+        u = np.array([[0.1, 0.7]])
+        for variant in (Periodizer.ID, Periodizer.BAKER):
+            _, w = periodizer_map_weight(variant, u)
+            assert w is None, variant
+
     def test_integral_preserved_constant(self):
         xs = np.linspace(0, 1, 1_000_001)[:, None]
         for variant in Periodizer:
