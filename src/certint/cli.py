@@ -152,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("funappx", help="piecewise-linear approximation")
     interval(p)
     p.add_argument("--grid", type=int, default=None,
-                   help="dump the approximant on N uniform points")
+                   help="dump the approximant on N >= 0 uniform points")
 
     p = sub.add_parser("funmin", help="guaranteed global minimum")
     interval(p)
@@ -266,6 +266,8 @@ def _run_subcommand(args) -> dict:
             budget=Budget(nmax=args.nmax, maxiter=args.maxiter),
         )
         if cmd == "funappx":
+            if args.grid is not None and args.grid < 0:
+                raise ConfigurationError("--grid must be >= 0")
             approx, diag = funappx(problem)
             if args.grid:
                 xs = np.linspace(args.a, args.b, args.grid)
@@ -292,7 +294,7 @@ def _run_subcommand(args) -> dict:
     elif cmd == "meanmc":
         f = _expr_fn(args.f, args.dim)
         params = McParams(tol=_tolspec(args, 1e-1), alpha=args.alpha,
-                          budget=Budget(nbudget=args.nbudget))
+                          nbudget=args.nbudget)
         normal = None
         if args.measure == "normal":
             normal = Hyperbox([-math.inf] * args.dim, [math.inf] * args.dim,
@@ -311,7 +313,7 @@ def _run_subcommand(args) -> dict:
         box = _box_arg(args, inputs)
         f = _expr_fn(args.f, box.dimension)
         params = McParams(tol=_tolspec(args, 1e-1), alpha=args.alpha,
-                          budget=Budget(nbudget=args.nbudget))
+                          nbudget=args.nbudget)
         report["estimate"], diag = cub_mc(f, box, params,
                                           RngStream(args.seed))
         if diag.exit_flags >= 10:

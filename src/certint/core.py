@@ -84,19 +84,20 @@ def tolfun(spec: ToleranceSpec, mu_abs: float) -> float:
 
 @dataclass(frozen=True)
 class Budget:
-    """Resource limits shared by the adaptive solvers."""
+    """Point and iteration limits of the univariate solvers.
+
+    ``funappx``, ``funmin`` and ``integral`` stop at ``nmax`` evaluations
+    or ``maxiter`` rounds.  The Monte Carlo limits are ``McParams``'s
+    ``nbudget`` and ``tbudget_seconds``.
+    """
 
     nmax: int = 10_000_000
     maxiter: int = 1000
-    tbudget_seconds: float = 100.0
-    nbudget: int = 1_000_000_000
 
     def __post_init__(self):
-        for name in ("nmax", "maxiter", "nbudget"):
+        for name in ("nmax", "maxiter"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive")
-        if not (self.tbudget_seconds > 0):
-            raise ConfigurationError("tbudget_seconds must be positive")
 
 
 @dataclass(frozen=True)

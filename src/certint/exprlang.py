@@ -17,7 +17,9 @@ coordinates).  ``^`` with a non-integer exponent on a negative base
 yields NaN (real-valued semantics).
 
 Parsing reports position-annotated errors; evaluation is pure and
-vectorized over an (n, d) point block.
+vectorized over an (n, d) point block.  An expression nested past
+Python's recursion limit is a ``ParseError``, or an ``EvaluationError``
+when only its evaluation goes that deep (a long chain of ``+``).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, EvaluationError
 
 __all__ = ["Expr", "ParseError", "parse", "eval_batch", "render"]
 
@@ -269,7 +271,12 @@ def parse(text: str, dim: int = 1) -> Expr:
     """Parse ``text`` into an expression tree over ``dim`` coordinates."""
     if dim < 1:
         raise ConfigurationError("dim must be >= 1")
-    return _Parser(text, dim).parse()
+    parser = _Parser(text, dim)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply",
+                         parser.toks.peek()[1]) from None
 
 
 def eval_batch(e: Expr, points: np.ndarray) -> np.ndarray:
@@ -279,7 +286,11 @@ def eval_batch(e: Expr, points: np.ndarray) -> np.ndarray:
         pts = pts[:, None]
     if pts.ndim != 2:
         raise ConfigurationError("points must be an (n, d) array")
-    out = _eval(e, pts)
+    try:
+        out = _eval(e, pts)
+    except RecursionError:
+        raise EvaluationError("expression nested too deeply to evaluate") \
+            from None
     return np.broadcast_to(out, (pts.shape[0],)).astype(float, copy=True)
 
 

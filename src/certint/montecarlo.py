@@ -77,8 +77,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Budget, RngStream, SolverDiagnostics, ToleranceSpec,
-                   tolfun)
+from .core import RngStream, SolverDiagnostics, ToleranceSpec, tolfun
 from .errors import ConfigurationError, EvaluationError
 
 __all__ = [
@@ -120,7 +119,9 @@ class McParams:
     ``n_sig`` is the size of the variance stage.  The mean stage sizes
     its steps from the variance stage; ``n1`` is only the fallback first
     step when that plans no positive tolerance (a pure relative tolerance
-    around a mean of exactly 0).
+    around a mean of exactly 0).  ``nbudget`` caps the draws of a run,
+    both stages included, and ``tbudget_seconds`` its wall time, as
+    GAIL's ``meanMC_g`` names them.
     """
 
     tol: ToleranceSpec = field(default_factory=ToleranceSpec)
@@ -128,7 +129,8 @@ class McParams:
     fudge: float = 1.2
     n_sig: int = 10_000
     n1: int = 10_000
-    budget: Budget = field(default_factory=Budget)
+    nbudget: int = 1_000_000_000
+    tbudget_seconds: float = 100.0
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
@@ -137,6 +139,9 @@ class McParams:
             raise ConfigurationError("fudge must be > 1")
         if self.n_sig < _MIN_SAMPLE or self.n1 < _MIN_SAMPLE:
             raise ConfigurationError("n_sig and n1 must be at least 30")
+        if self.nbudget <= 0 or not (self.tbudget_seconds > 0):
+            raise ConfigurationError(
+                "nbudget and tbudget_seconds must be positive")
 
 
 @dataclass(frozen=True)
@@ -216,62 +221,38 @@ def kurtosis_bound(n_sig: int, alpha_sigma: float, fudge: float) -> float:
     ) * (1.0 - 1.0 / fudge**2) ** 2
 
 
-def _berry_esseen_ok(n: float, tol_over_sig: float, alpha: float,
-                     m3: float) -> bool:
-    from scipy.special import ndtr
-    rn = math.sqrt(n)
-    return ndtr(-rn * tol_over_sig) + _BERRY_ESSEEN_C * m3 / rn <= 0.5 * alpha
-
-
-def _berry_esseen_n(sigtilde: float, tol: float, alpha: float,
-                    kurtmax: float) -> float:
-    """Smallest n certified by the Berry-Esseen-corrected normal bound,
-    or inf if the correction term alone exceeds alpha/2 for any feasible n."""
-    m3 = kurtmax ** 0.75
-    tos = tol / sigtilde
-    hi = float(_MIN_SAMPLE)
-    if _berry_esseen_ok(hi, tos, alpha, m3):
-        return hi
-    while hi < 1e18:
-        hi *= 4.0
-        if _berry_esseen_ok(hi, tos, alpha, m3):
-            lo = hi / 4.0
-            while hi - lo > 1.0:
-                mid = math.floor(0.5 * (lo + hi))
-                if _berry_esseen_ok(mid, tos, alpha, m3):
-                    hi = mid
-                else:
-                    lo = mid
-            return hi
-    return math.inf
-
-
 def two_stage_n(var_hat: float, fudge: float, tolfun_val: float,
                 alpha_mu: float, kurtmax: float) -> int:
     """Mean-stage sample size meeting ``tolfun_val`` at level ``alpha_mu``.
 
-    The smaller of the Chebyshev count and the Berry-Esseen count (both
-    are valid), floored at 30; a degenerate variance estimate clamps to
-    the floor.  For a count below 2**53 the certified half-width,
-    ``_half_width(n, alpha_mu, fudge * sqrt(var_hat), kurtmax)``, never
-    exceeds ``tolfun_val``; no budget can draw a larger one.
+    The least n >= 30 whose certified half-width, ``_half_width(n,
+    alpha_mu, fudge * sqrt(var_hat), kurtmax)``, is at most
+    ``tolfun_val``, found by doubling from 30 and then bisecting; a
+    degenerate variance estimate clamps to 30.  The search needs no cap:
+    the Chebyshev width falls below any positive tolerance.
     """
-    if tolfun_val <= 0 or not (0 < alpha_mu < 1):
+    if not (tolfun_val > 0) or not (0 < alpha_mu < 1):
         raise ConfigurationError("tolfun_val and alpha_mu must be positive")
     if var_hat <= 0.0:
         return _MIN_SAMPLE
-    sigtilde2 = fudge * fudge * var_hat
-    n_cheb = math.ceil(sigtilde2 / (alpha_mu * tolfun_val * tolfun_val))
-    n_be = _berry_esseen_n(math.sqrt(sigtilde2), tolfun_val, alpha_mu, kurtmax)
-    n = max(_MIN_SAMPLE, int(min(float(n_cheb), n_be)))
-    # the two counts are rounded apart from the half-width, which can come
-    # out an ulp above the tolerance once n nears 1e12; a draw or two more
-    # brings it back under
     sigtilde = fudge * math.sqrt(var_hat)
-    while n < 2**53 and _half_width(n, alpha_mu, sigtilde,
-                                    kurtmax) > tolfun_val:
-        n += 1
-    return n
+    if not math.isfinite(sigtilde):
+        raise ConfigurationError("fudge * sqrt(var_hat) must be finite")
+
+    def meets(n):
+        return _half_width(n, alpha_mu, sigtilde, kurtmax) <= tolfun_val
+
+    lo = hi = _MIN_SAMPLE
+    while not meets(hi):
+        lo, hi = hi, 2 * hi
+    # hi meets the tolerance, and lo fails it unless both are the floor
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if meets(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _half_width(n: int, alpha: float, sigtilde: float, kurtmax: float) -> float:
@@ -389,12 +370,14 @@ def mean_mc(yrand, params: McParams, rng: RngStream):
     The mean stage is one floor step of ``n_floor`` draws at all of
     ``alpha_mu`` when that is no more than the first relative step
     ``n_rel``, and relative steps at ``alpha_mu * 2^-t`` otherwise (see
-    the module docstring).  Step t+1 is sized for
-    ``tolfun(spec, _plan_magnitude(hmu_t, n_t, alpha_t / 2, sigtilde))``
-    at ``alpha_t / 2``, so that it meets the tolerance at its own estimate
-    too.  ``n_up`` is the planned total, ``n_sig`` plus the first planned
-    step.  Exit flag 1 means the sample or time budget ran out before the
-    tolerance was certified.
+    the module docstring).  One planner sizes every relative step: step
+    t+1 gets ``two_stage_n`` draws for ``tolfun(spec, _plan_magnitude(hmu_t,
+    n_t, alpha_t / 2, sigtilde))`` at ``alpha_t / 2``, so that it meets
+    the tolerance at its own estimate too, and ``n_rel`` is step 1 planned
+    from the variance stage's mean ``m0`` of ``n_sig`` draws.  ``n_up`` is
+    the planned total, ``n_sig`` plus the first planned step.  Exit flag 1
+    means ``params.nbudget`` or ``params.tbudget_seconds`` ran out before
+    the tolerance was certified.
     """
     t_start = time.perf_counter()
     gen = rng.generator()
@@ -406,17 +389,22 @@ def mean_mc(yrand, params: McParams, rng: RngStream):
     if not math.isfinite(var_hat):
         raise EvaluationError("mean_mc: the variance of the draws overflows")
     sigtilde = fudge * math.sqrt(var_hat)
-    alpha_sigma = 1.0 - math.sqrt(1.0 - params.alpha)
-    alpha_mu = 1.0 - math.sqrt(1.0 - params.alpha)
+    alpha_sigma = alpha_mu = 1.0 - math.sqrt(1.0 - params.alpha)
     kurtmax = kurtosis_bound(params.n_sig, alpha_sigma, fudge)
+
+    def plan(m, n, alpha, fallback):
+        """Draws for a relative step at ``alpha`` planned from the mean
+        ``m`` of ``n`` draws, or ``fallback`` when the tolerance it plans
+        for is 0."""
+        tol = tolfun(spec, _plan_magnitude(m, n, alpha, sigtilde))
+        if tol > 0:
+            return two_stage_n(var_hat, fudge, tol, alpha, kurtmax)
+        return fallback
 
     floor = tolfun(spec, 0.0)
     n_floor = (two_stage_n(var_hat, fudge, floor, alpha_mu, kurtmax)
                if floor > 0 else math.inf)
-    tol_lo = tolfun(spec, _plan_magnitude(m0, params.n_sig, alpha_mu * 0.5,
-                                          sigtilde))
-    n_rel = (two_stage_n(var_hat, fudge, tol_lo, alpha_mu * 0.5, kurtmax)
-             if tol_lo > 0 else params.n1)
+    n_rel = plan(m0, params.n_sig, alpha_mu * 0.5, params.n1)
     one_step = n_floor <= n_rel
     n_next = n_floor if one_step else n_rel
     n_up = params.n_sig + n_next
@@ -430,10 +418,10 @@ def mean_mc(yrand, params: McParams, rng: RngStream):
     for t in range(1, _MAX_ITER + 1):
         alpha_t = alpha_mu if one_step else alpha_mu * 0.5**t
         elapsed = time.perf_counter() - t_start
-        nremain = params.budget.nbudget - ntot
+        nremain = params.nbudget - ntot
         if elapsed > 0 and ntot > 0:
             rate = ntot / elapsed
-            time_allow = (params.budget.tbudget_seconds - elapsed) * rate
+            time_allow = (params.tbudget_seconds - elapsed) * rate
             if time_allow < nremain:
                 nremain = int(max(time_allow, 0))
         truncated = False
@@ -459,15 +447,9 @@ def mean_mc(yrand, params: McParams, rng: RngStream):
             # the step had all of alpha_mu, so none is left for another
             exit_flags |= 1
             break
-        tol_lo = tolfun(spec, _plan_magnitude(hmu, n_t, alpha_t * 0.5,
-                                              sigtilde))
-        if tol_lo > 0:
-            n_next = two_stage_n(var_hat, fudge, tol_lo, alpha_t * 0.5,
-                                 kurtmax)
-        else:
-            # pure relative tolerance around an estimate of exactly 0: no
-            # finite target yet, grow geometrically until the budget objects
-            n_next = max(2 * n_t, _MIN_SAMPLE)
+        # a pure relative tolerance around an estimate of exactly 0 has no
+        # finite target yet: grow geometrically until the budget objects
+        n_next = plan(hmu, n_t, alpha_t * 0.5, max(2 * n_t, _MIN_SAMPLE))
     else:
         exit_flags |= 1
 
@@ -486,7 +468,7 @@ def mean_mc(yrand, params: McParams, rng: RngStream):
             "tol": tol_hist,
             "var": var_hat,
             "kurtmax": kurtmax,
-            "nremain": max(params.budget.nbudget - ntot, 0),
+            "nremain": max(params.nbudget - ntot, 0),
             "ntot": ntot,
             "n_up": n_up,
             "flag": int(CheckStatus.CHECKED_BY_MEAN_MC),

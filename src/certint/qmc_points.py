@@ -255,22 +255,20 @@ def _matrix_scramble(v: np.ndarray, gen: np.random.Generator) -> np.ndarray:
 
 
 class LatticeGenerator:
-    """Shifted extensible rank-1 lattice in up to 250 dimensions."""
+    """Shifted extensible rank-1 lattice in up to 250 dimensions.
 
-    def __init__(self, dimension: int, rng: RngStream | None = None,
-                 shift: np.ndarray | None = None):
+    The additive shift is uniform in [0,1)^d, drawn from ``rng``, or zero
+    without one.
+    """
+
+    def __init__(self, dimension: int, rng: RngStream | None = None):
         if not (1 <= dimension <= LATTICE_MAX_DIM):
             raise ConfigurationError(
                 f"lattice dimension must be in [1, {LATTICE_MAX_DIM}], got {dimension}"
             )
         self.dimension = dimension
         self.generating_vector = _lattice_vector()[:dimension].copy()
-        if shift is not None:
-            shift = np.asarray(shift, dtype=float)
-            if shift.shape != (dimension,) or np.any(shift < 0) or np.any(shift >= 1):
-                raise ConfigurationError("shift must be a d-vector in [0,1)")
-            self.shift = shift
-        elif rng is not None:
+        if rng is not None:
             self.shift = rng.generator().random(dimension)
         else:
             self.shift = np.zeros(dimension)

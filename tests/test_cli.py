@@ -127,6 +127,25 @@ class TestErrors:
     def test_infinite_box_needs_normal(self):
         assert run(["cublattice", "--f", "x1", "--box=-inf,inf"]) == 1
 
+    @pytest.mark.parametrize("expr", ["(" * 300 + "x" + ")" * 300,
+                                      "-" * 1000 + "x",
+                                      "+".join(["x"] * 1000)],
+                             ids=["nested_parentheses", "minus_chain",
+                                  "long_sum"])
+    def test_deep_expression(self, capsys, expr):
+        # too deep for Python's recursion limit: a parse error or an
+        # evaluation error, not a traceback
+        assert run(["integral", "--f=" + expr]) == 1
+        assert "nested too deeply" in capsys.readouterr().err
+
+    def test_negative_grid(self, capsys, tmp_path):
+        assert run(["funappx", "--f", "x", "--grid", "-1"]) == 1
+        assert "--grid" in capsys.readouterr().err
+        path = tmp_path / "r.json"
+        assert run(["funappx", "--f", "x", "--grid", "0",
+                    "--json", str(path)]) == 0
+        assert "grid" not in json.loads(path.read_text())
+
     def test_warning_exit_code(self):
         # tolerance unreachable inside a tiny budget: documented warning flag
         rc = run(["integral", "--f", "sin(50*x)", "--a", "0", "--b", "6",

@@ -88,13 +88,25 @@ class TestTwoStageN:
     def test_count_certifies_its_tolerance(self, log_var, fudge, log_tol,
                                            grow, log_alpha, log_kurt):
         """The floor step relies on both: a looser tolerance never needs
-        more draws, and the count's half-width meets the tolerance."""
+        more draws, and the count's half-width meets the tolerance.  No
+        smaller count above the floor meets it."""
         var, tol = 10.0**log_var, 10.0**log_tol
         alpha, kurtmax = 10.0**log_alpha, 10.0**log_kurt
+        sigtilde = fudge * math.sqrt(var)
         n = two_stage_n(var, fudge, tol, alpha, kurtmax)
         assert two_stage_n(var, fudge, grow * tol, alpha, kurtmax) <= n
-        assert montecarlo._half_width(n, alpha, fudge * math.sqrt(var),
-                                      kurtmax) <= tol
+        assert montecarlo._half_width(n, alpha, sigtilde, kurtmax) <= tol
+        assert n == 30 or montecarlo._half_width(n - 1, alpha, sigtilde,
+                                                 kurtmax) > tol
+
+    def test_rejects_bad_inputs(self):
+        for tol, alpha in ((0.0, 0.01), (math.nan, 0.01), (1e-2, 0.0),
+                           (1e-2, 1.0)):
+            with pytest.raises(ConfigurationError):
+                two_stage_n(1.0, 1.2, tol, alpha, 25.0)
+        for var in (math.inf, math.nan):
+            with pytest.raises(ConfigurationError):
+                two_stage_n(var, 1.2, 1e-2, 0.01, 25.0)
 
 
 def test_kurtosis_bound_monotone_in_fudge():
@@ -243,7 +255,7 @@ class TestFixedToleranceStep:
     @pytest.mark.parametrize("spec, tol", _FIXED_SPECS)
     def test_binding_budget_flags_the_single_step(self, spec, tol):
         nbudget = 50_000
-        params = McParams(tol=spec, alpha=0.05, budget=Budget(nbudget=nbudget))
+        params = McParams(tol=spec, alpha=0.05, nbudget=nbudget)
         _, diag = mean_mc(lambda n, g: g.random(n)**2, params, RngStream(5))
         x = diag.extra
         assert diag.exit_flags == 1
@@ -312,8 +324,7 @@ class TestRelativeToleranceSteps:
         # a pure relative tolerance around a mean of exactly 0 has no
         # finite target: n1 draws, then doubling, until the budget cuts a
         # step; +-1 in turn sums to exactly 0 over every even count
-        params = McParams(tol=ToleranceSpec(0.0, 1e-2),
-                          budget=Budget(nbudget=100_000))
+        params = McParams(tol=ToleranceSpec(0.0, 1e-2), nbudget=100_000)
         tmu, diag = mean_mc(lambda n, g: 1.0 - 2.0 * (np.arange(n) % 2),
                             params, RngStream(1))
         x = diag.extra
@@ -327,8 +338,7 @@ class TestRelativeToleranceSteps:
     def test_zero_mean_never_certifies(self):
         # a random zero mean plans for the tolerance at a tiny estimate,
         # which the budget cuts; the run must not claim a certificate
-        params = McParams(tol=ToleranceSpec(0.0, 1e-2),
-                          budget=Budget(nbudget=100_000))
+        params = McParams(tol=ToleranceSpec(0.0, 1e-2), nbudget=100_000)
         for seed in range(1, 6):
             tmu, diag = mean_mc(lambda n, g: 2.0 * g.random(n) - 1.0, params,
                                 RngStream(seed))
@@ -340,7 +350,7 @@ class TestRelativeToleranceSteps:
         # errors of the variance stage's mean but under its certified
         # half-width (0.24 sigma), so no step can be planned from that
         spec = ToleranceSpec(0.0, 5e-2)
-        params = McParams(tol=spec, budget=Budget(nbudget=10_000_000))
+        params = McParams(tol=spec, nbudget=10_000_000)
         for seed in range(1, 21):
             tmu, diag = mean_mc(lambda n, g: g.random(n) - 0.45, params,
                                 RngStream(seed))
@@ -409,7 +419,7 @@ class TestMeanMc:
         assert x["ntot"] == params.n_sig + sum(x["n"])
         tols = x["tol"]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(tols, tols[1:]))
-        assert x["ntot"] <= params.budget.nbudget
+        assert x["ntot"] <= params.nbudget
         assert diag.errest <= 1e-3  # exit 0 implies final width under tolfun
 
     def test_seed_reproducibility(self):
@@ -434,11 +444,24 @@ class TestMeanMc:
                 mean_mc(lambda n, g: 1e200 * g.random(n), params, RngStream(1))
 
     def test_budget_exhaustion(self):
-        params = McParams(tol=ToleranceSpec(1e-6, 0.0),
-                          budget=Budget(nbudget=50_000))
+        params = McParams(tol=ToleranceSpec(1e-6, 0.0), nbudget=50_000)
         tmu, diag = mean_mc(lambda n, g: g.random(n), params, RngStream(6))
         assert diag.exit_flags & 1
         assert diag.extra["ntot"] <= 50_000
+
+    def test_budgets_belong_to_their_solvers(self):
+        # the draw and time limits are McParams fields; Budget holds only
+        # the univariate solvers' nmax and maxiter
+        with pytest.raises(TypeError):
+            Budget(nbudget=5)
+        with pytest.raises(TypeError):
+            Budget(tbudget_seconds=1.0)
+        with pytest.raises(TypeError):
+            McParams(budget=Budget())
+        for bad in ({"nbudget": 0}, {"tbudget_seconds": 0.0},
+                    {"tbudget_seconds": math.nan}):
+            with pytest.raises(ConfigurationError):
+                McParams(**bad)
 
 
 class TestHyperbox:

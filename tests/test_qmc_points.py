@@ -149,10 +149,11 @@ class TestLattice:
 
     def test_shift_moves_points(self):
         base = LatticeGenerator(2)
-        shifted = LatticeGenerator(2, shift=np.array([0.25, 0.5]))
+        shifted = LatticeGenerator(2, rng=RngStream(3))
+        assert np.all((shifted.shift > 0) & (shifted.shift < 1))
         a = _lattice_level(base, 4)
         b = _lattice_level(shifted, 4)
-        assert np.allclose(np.mod(a + [0.25, 0.5], 1.0), b)
+        assert np.allclose(np.mod(a + shifted.shift, 1.0), b)
 
     def test_projection_gap(self):
         pts = _lattice_level(LatticeGenerator(2), 10)
