@@ -231,7 +231,8 @@ def _adaptive_cubature(unit_points, to_box, f, params: QmcParams,
         arrays are freed before the next chunk's points are built.  The
         value count is checked before the values are multiplied by the
         mapping's factors (in the order given), so a scalar is never
-        broadcast to a chunk.
+        broadcast to a chunk; a scalar factor of 1.0 is skipped, since it
+        changes no bit.
         """
         for lo in range(0, out.size, _EVAL_CHUNK):
             hi = min(lo + _EVAL_CHUNK, out.size)
@@ -243,7 +244,8 @@ def _adaptive_cubature(unit_points, to_box, f, params: QmcParams,
                     f"{what}: integrand returned {vals.shape[0]} values for "
                     f"{pts.shape[0]} points")
             for factor in factors:
-                vals = vals * factor
+                if not (np.ndim(factor) == 0 and factor == 1.0):
+                    vals = vals * factor
             if not np.all(np.isfinite(vals)):
                 raise EvaluationError(f"{what}: integrand returned NaN or Inf")
             out[lo:hi] = vals

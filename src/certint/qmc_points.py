@@ -281,9 +281,13 @@ class LatticeGenerator:
         prod = k[:, None] * self.generating_vector[None, :]
         prod &= (1 << m) - 1
         pts = prod.astype(np.float64)
+        del prod
         pts /= float(1 << m)
         pts += self.shift
-        return np.mod(pts, 1.0, out=pts)
+        # both terms lie in [0, 1), so 0 <= pts < 2 and subtracting the
+        # floor wraps exactly as mod 1 does
+        pts -= np.floor(pts)
+        return pts
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,32 @@ class TestLattice:
                            gen.points_at_level(12, idx[700:])])
         assert np.array_equal(whole.view(np.uint64), parts.view(np.uint64))
 
+    @pytest.mark.parametrize("m, d", [(0, 1), (1, 3), (5, 2), (10, 7),
+                                      (12, 250)])
+    def test_wrap_matches_mod_reference(self, m, d):
+        gen = LatticeGenerator(d, rng=RngStream(m + d))
+        idx = np.arange(2**m)
+        raw = ((idx[:, None] * gen.generating_vector[None, :]) & (2**m - 1)
+               ) / float(2**m) + gen.shift
+        got = gen.points_at_level(m, idx)
+        want = np.mod(raw, 1.0)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        if m:
+            assert np.any(raw >= 1.0)
+
+    def test_wrap_of_sums_that_hit_one(self):
+        # a shift on the level's grid makes some k z / 2^m + shift exactly
+        # 1.0, which must wrap to +0.0
+        gen = LatticeGenerator(3)
+        gen.shift = np.array([0.25, 0.5, 0.875])
+        idx = np.arange(8)
+        raw = ((idx[:, None] * gen.generating_vector[None, :]) & 7) / 8.0 \
+            + gen.shift
+        got = gen.points_at_level(3, idx)
+        assert np.any(raw == 1.0)
+        assert np.array_equal(got.view(np.uint64),
+                              np.mod(raw, 1.0).view(np.uint64))
+
     def test_odd_vector_and_limits(self):
         gen = LatticeGenerator(250)
         assert np.all(gen.generating_vector % 2 == 1)
