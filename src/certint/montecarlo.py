@@ -384,8 +384,12 @@ def mean_mc(yrand, params: McParams, rng: RngStream):
     spec = params.tol
     fudge = params.fudge
 
+    # the draw rate that sizes the time budget's steps counts only the
+    # seconds spent drawing, not set-up such as a first import of scipy
+    t_draw = time.perf_counter()
     m0, var_hat = _draw_mean(yrand, params.n_sig, gen, "mean_mc",
                              variance=True)
+    drawing = time.perf_counter() - t_draw
     if not math.isfinite(var_hat):
         raise EvaluationError("mean_mc: the variance of the draws overflows")
     sigtilde = fudge * math.sqrt(var_hat)
@@ -419,8 +423,8 @@ def mean_mc(yrand, params: McParams, rng: RngStream):
         alpha_t = alpha_mu if one_step else alpha_mu * 0.5**t
         elapsed = time.perf_counter() - t_start
         nremain = params.nbudget - ntot
-        if elapsed > 0 and ntot > 0:
-            rate = ntot / elapsed
+        if drawing > 0:
+            rate = ntot / drawing
             time_allow = (params.tbudget_seconds - elapsed) * rate
             if time_allow < nremain:
                 nremain = int(max(time_allow, 0))
@@ -432,7 +436,9 @@ def mean_mc(yrand, params: McParams, rng: RngStream):
             if n_t <= 0:
                 exit_flags |= 1
                 break
+        t_draw = time.perf_counter()
         hmu, _ = _draw_mean(yrand, n_t, gen, "mean_mc")
+        drawing += time.perf_counter() - t_draw
         ntot += n_t
         width = _half_width(n_t, alpha_t, sigtilde, kurtmax)
         n_hist.append(n_t)

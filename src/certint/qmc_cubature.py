@@ -210,23 +210,23 @@ _EVAL_CHUNK = 1 << 15
 _PAIRWISE_BLOCK = 128
 
 
-def _adaptive_cubature(unit_points, to_box, f, params: QmcParams,
-                       backend, what: str) -> QmcResult:
+def _adaptive_cubature(points, f, params: QmcParams, backend,
+                       what: str) -> QmcResult:
     """Doubling loop shared by the lattice and Sobol' cubatures.
 
-    ``unit_points(m, indices)`` returns unit-cube points for natural
-    indices at level m.  ``to_box(u)`` maps them to ``(pts, factors)``:
-    the points ``f`` takes (transform and measure map applied) and the
-    factors (the Jacobian, if the transform has one, then the volume) that
-    turn ``f(pts)`` into the integrand on the unit cube.  ``backend`` is
-    :class:`_Fourier` or :class:`_Walsh`.
+    ``points(m, start, stop, step)`` builds the unit-cube points of the
+    natural indices ``range(start, stop, step)`` at level m and maps them
+    to ``(pts, factors)``: the points ``f`` takes (transform and measure
+    map applied) and the factors (the Jacobian, if the transform has one,
+    then the volume) that turn ``f(pts)`` into the integrand on the unit
+    cube.  ``backend`` is :class:`_Fourier` or :class:`_Walsh`.
     """
 
     def fill(level: int, start: int, step: int, out: np.ndarray) -> None:
         """Write the integrand at the natural indices start, start + step,
         ... of ``level`` into ``out``, one chunk at a time.
 
-        The unit-cube points live only until ``to_box`` has mapped them, so
+        The unit-cube points live only until ``points`` has mapped them, so
         the integrand runs next to the mapped points alone, and a chunk's
         arrays are freed before the next chunk's points are built.  The
         value count is checked before the values are multiplied by the
@@ -236,8 +236,8 @@ def _adaptive_cubature(unit_points, to_box, f, params: QmcParams,
         """
         for lo in range(0, out.size, _EVAL_CHUNK):
             hi = min(lo + _EVAL_CHUNK, out.size)
-            pts, factors = to_box(unit_points(
-                level, np.arange(start + step * lo, start + step * hi, step)))
+            pts, factors = points(level, start + step * lo,
+                                  start + step * hi, step)
             vals = np.asarray(f(pts), dtype=float).reshape(-1)
             if vals.shape[0] != pts.shape[0]:
                 raise EvaluationError(
@@ -412,16 +412,17 @@ def cub_lattice(f, box: Hyperbox, params: QmcParams,
     _validate(box, params, LATTICE_MAX_DIM, LATTICE_MAX_M, "cub_lattice")
     gen = LatticeGenerator(box.dimension, rng=rng)
 
-    def to_box(u: np.ndarray):
+    def points(m: int, start: int, stop: int, step: int):
+        u = gen.points_at_level(m, np.arange(start, stop, step))
         mapped_u, weight = periodizer_map_weight(params.transform, u)
+        del u           # unless the map returned them, free the unit points
         # no Jacobian for the measure-preserving maps
         jacobian = () if weight is None else (np.prod(weight, axis=1),)
         del weight      # free it before the measure map allocates
         pts, scale = measure_map(mapped_u, box)
         return pts, jacobian + (scale,)
 
-    res = _adaptive_cubature(gen.points_at_level, to_box, f, params,
-                             _Fourier, "cub_lattice")
+    res = _adaptive_cubature(points, f, params, _Fourier, "cub_lattice")
     res.extra.update({"transform": params.transform.value,
                       "shift": gen.shift.tolist()})
     return res
@@ -437,14 +438,12 @@ def cub_sobol(f, box: Hyperbox, params: QmcParams,
     _validate(box, params, SOBOL_MAX_DIM, SOBOL_MAX_BITS, "cub_sobol")
     gen = SobolGenerator(box.dimension, rng=rng)
 
-    def to_box(u: np.ndarray):
-        pts, scale = measure_map(u, box)
+    def points(m: int, start: int, stop: int, step: int):
+        # Sobol' points do not depend on the level, and the Walsh backend
+        # asks only for contiguous natural index ranges (step 1)
+        pts, scale = measure_map(gen.points(start, stop), box)
         return pts, (scale,)
 
-    # Sobol' points do not depend on the level, and the engine always asks
-    # for contiguous natural index ranges.
-    res = _adaptive_cubature(
-        lambda m, idx: gen.points(int(idx[0]), int(idx[-1]) + 1),
-        to_box, f, params, _Walsh, "cub_sobol")
+    res = _adaptive_cubature(points, f, params, _Walsh, "cub_sobol")
     res.extra.update({"digital_shift": gen.digital_shift.tolist()})
     return res

@@ -21,6 +21,14 @@ chunk at a time and get the same points bit for bit.
 
 The module also houses the periodizing variable transforms and thin
 power-of-two FFT / fast Walsh-Hadamard transform entry points.
+
+Importing the module reads no data file.  The first generator of each
+kind reads its table and checks its checksum.  Every row of the Sobol'
+file is then checked for its field count and the file for its coverage
+of 1111 dimensions, but the direction integers are parsed, and run
+through the recurrence, only for the dimensions the generator asks for.
+A generator of a higher dimension than any before it reads the file
+again and builds the cached table for its dimension.
 """
 
 from __future__ import annotations
@@ -91,9 +99,17 @@ def _load_text(name: str) -> list:
     return [ln for ln in lines if ln and not ln.startswith("#")]
 
 
-def _sobol_table() -> np.ndarray:
-    """(SOBOL_MAX_DIM, SOBOL_MAX_BITS) direction integers, uint64."""
-    if "sobol" in _cache:
+def _sobol_table(dims: int = SOBOL_MAX_DIM) -> np.ndarray:
+    """Direction integers, uint64, with at least the first ``dims`` rows
+    of the (SOBOL_MAX_DIM, SOBOL_MAX_BITS) table; row d - 1 holds
+    dimension d.
+
+    Every row of the file is checked for its field count, and the file for
+    its coverage, but only the first ``dims`` rows are parsed and built.
+    The cached table holds the most rows asked for so far; a larger
+    ``dims`` builds it again with that many rows.
+    """
+    if "sobol" in _cache and _cache["sobol"].shape[0] >= dims:
         return _cache["sobol"]
     rows = _load_text(_SOBOL_FILE)
     if rows and rows[0].lstrip().startswith("d"):
@@ -101,24 +117,25 @@ def _sobol_table() -> np.ndarray:
     # v[d - 1, :s] holds m_1..m_s until the shift below; a degree of
     # SOBOL_MAX_BITS keeps a row out of the recurrence: dimension 1 (van
     # der Corput, m_k = 1 for all k) and any dimension the file lacks
-    v = np.zeros((SOBOL_MAX_DIM, SOBOL_MAX_BITS), dtype=np.uint64)
+    v = np.zeros((dims, SOBOL_MAX_BITS), dtype=np.uint64)
     v[0] = 1
-    degree = np.full(SOBOL_MAX_DIM, SOBOL_MAX_BITS)
-    poly = np.zeros(SOBOL_MAX_DIM, dtype=np.int64)
+    degree = np.full(dims, SOBOL_MAX_BITS)
+    poly = np.zeros(dims, dtype=np.int64)
     seen = 1
     for ln in rows:
         parts = ln.split()
-        d, s, a = int(parts[0]), int(parts[1]), int(parts[2])
-        ms = [int(x) for x in parts[3:3 + s]]
+        d, s = int(parts[0]), int(parts[1])
         if d > SOBOL_MAX_DIM:
             break
-        if len(ms) != s:
+        if len(parts) < 3 + s:
             raise DataFileError(f"direction-number row for d={d} is truncated")
-        # the recurrence rewrites every column from s on
-        m = ms[:SOBOL_MAX_BITS]
-        v[d - 1, :len(m)] = m
-        degree[d - 1], poly[d - 1] = s, a
         seen = max(seen, d)
+        if d > dims:
+            continue
+        # the recurrence rewrites every column from s on
+        m = [int(x) for x in parts[3:3 + min(s, SOBOL_MAX_BITS)]]
+        v[d - 1, :len(m)] = m
+        degree[d - 1], poly[d - 1] = s, int(parts[2])
     if seen < SOBOL_MAX_DIM:
         raise DataFileError(
             f"direction-number table covers only {seen} dimensions, "
@@ -189,7 +206,7 @@ class SobolGenerator:
                 f"Sobol' dimension must be in [1, {SOBOL_MAX_DIM}], got {dimension}"
             )
         self.dimension = dimension
-        self._v = _sobol_table()[:dimension]  # (d, 53) uint64
+        self._v = _sobol_table(dimension)[:dimension]  # (d, 53) uint64
         if rng is None:
             self.digital_shift = np.zeros(dimension, dtype=np.uint64)
         else:
@@ -403,7 +420,12 @@ def periodizer_map_weight(variant: Periodizer, u: np.ndarray):
     if variant is Periodizer.ID:
         return u, None
     if variant is Periodizer.BAKER:
-        return 1.0 - np.abs(2.0 * u - 1.0), None
+        # 1 - |2u - 1|, computed in one new array
+        tent = np.multiply(u, 2.0)
+        tent -= 1.0
+        np.abs(tent, out=tent)
+        np.subtract(1.0, tent, out=tent)
+        return tent, None
     if variant is Periodizer.C0:
         return u * u * (3.0 - 2.0 * u), 6.0 * u * (1.0 - u)
     if variant is Periodizer.C1:

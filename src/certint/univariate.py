@@ -23,13 +23,14 @@ Each solver holds only what its next step reads.  A split writes the two
 halves of each row straight from the parent's knots and cell midpoints,
 and each parent is freed once its halves are written; rows that are all
 pending or all finished pass on uncopied; one scratch array serves each
-check's differences; and :func:`funappx` frees each finished block once
-it is copied into the knots or the values.  In units of one float64
+check's differences; :func:`funappx` frees each finished block once it
+is copied into the knots or the values; and :func:`integral` frees the
+old abscissae once the new ones are written.  In units of one float64
 array of the run's final point count, the traced peak is about 3.1 for
-:func:`funappx` (x^2 on [0, 100] at ``abstol`` 1e-7), 3.5 for
-:func:`integral` (its last doubling: the old grid, the new midpoint
-values and the new grid) and 1.1 for :func:`funmin` (sin 5x on [0, 10]
-at 1e-9).
+:func:`funappx` (x^2 on [0, 100] at ``abstol`` 1e-7), 3.1 for
+:func:`integral` (its last doubling: the old values, the midpoints and
+their values, and the new grid) and 1.1 for :func:`funmin` (sin 5x on
+[0, 10] at 1e-9).
 
 All three compute their error estimates from centered second differences
 and the deviation of local slopes from the secant slope; when the sampled
@@ -209,18 +210,12 @@ def _midpoints(xs):
     return mids
 
 
-def _doubled_grid(f, xs, ys, what):
-    """Insert midpoints into each row of a (..., n) uniform grid, reusing
-    the existing values; ``f`` gets every midpoint in one call, row after
-    row."""
-    mids = _midpoints(xs)
-    ymid = _call_f(f, mids.ravel(), what).reshape(mids.shape)
-    nx = np.empty(xs.shape[:-1] + (2 * xs.shape[-1] - 1,))
-    nx[..., 0::2], nx[..., 1::2] = xs, mids
-    del mids
-    ny = np.empty_like(nx)
-    ny[..., 0::2], ny[..., 1::2] = ys, ymid
-    return nx, ny
+def _interleave(even, odd):
+    """The 1-d array ``even[0], odd[0], even[1], ...`` of length
+    ``2 * len(even) - 1``."""
+    out = np.empty(2 * even.size - 1)
+    out[0::2], out[1::2] = even, odd
+    return out
 
 
 def _halves(knots, mids):
@@ -611,7 +606,14 @@ def integral(p: IntervalProblem):
             exit_flags |= 2
             break
         iters += 1
-        xs, ys = _doubled_grid(p.f, xs, ys, "integral")
+        # insert the cell midpoints, reusing the existing values; the old
+        # abscissae are freed once the new ones are written
+        mids = _midpoints(xs)
+        ymid = _call_f(p.f, mids, "integral")
+        xs = _interleave(xs, mids)
+        del mids
+        ys = _interleave(ys, ymid)
+        del ymid
 
     diag = SolverDiagnostics(
         algorithm="integral",

@@ -1,14 +1,21 @@
-"""scipy is loaded only by the code that calls it.
+"""A cold start loads only what it uses.
 
-``import certint`` and the runs that never need ``scipy.special`` (the
-univariate solvers, the Bernoulli mean and uniform-measure QMC cubature)
-must leave scipy out of ``sys.modules``, so a cold start does not pay for
-it.  The runs that do need it must still return the same bits.
+``import certint`` loads no submodule; a public name or a submodule is
+imported on first access.  ``import certint`` and the runs that never need
+``scipy.special`` (the univariate solvers, the Bernoulli mean and
+uniform-measure QMC cubature) must leave scipy out of ``sys.modules``, so
+a cold start does not pay for it.  The runs that do need it must still
+return the same bits.
 """
 
+import importlib
 import json
 import subprocess
 import sys
+
+import pytest
+
+import certint
 
 # Runs in a fresh interpreter: tests in this process have loaded scipy.
 _CODE = r"""
@@ -67,3 +74,70 @@ def test_scipy_loaded_only_on_first_use():
                               "0x1.3c5ee2cc40b78p-1"]
     assert out["cub_sobol_normal"] == ["0x1.55556880013d5p-2", 8192, 0]
     assert out["meanmc"] == [0, "0x1.559507e381d7ep-2", 691215]
+
+
+# The set-up that the benchmark's setup_s times, in a fresh interpreter.
+_GENERATORS = r"""
+import json, sys
+import certint
+certint.SobolGenerator(3, rng=certint.RngStream(1))
+certint.LatticeGenerator(3, rng=certint.RngStream(1))
+print(json.dumps({
+    "certint": sorted(m for m in sys.modules
+                      if m == "certint" or m.startswith("certint.")),
+    "scipy_loaded": "scipy" in sys.modules,
+    "sobol_rows": certint.qmc_points._cache["sobol"].shape[0],
+}))
+"""
+
+
+def test_generators_load_only_their_modules():
+    proc = subprocess.run([sys.executable, "-c", _GENERATORS], check=True,
+                          capture_output=True, text=True)
+    out = json.loads(proc.stdout)
+    assert out["certint"] == ["certint", "certint.core", "certint.errors",
+                              "certint.qmc_points"]
+    assert out["scipy_loaded"] is False
+    assert out["sobol_rows"] == 3
+
+
+def test_exports_are_their_submodules_objects():
+    for name in certint.__all__:
+        module = importlib.import_module(
+            f"certint.{certint._EXPORTS[name]}")
+        assert getattr(certint, name) is getattr(module, name), name
+    namespace = {}
+    exec("from certint import *", namespace)
+    for name in certint.__all__:
+        assert namespace[name] is getattr(certint, name), name
+    assert set(certint.__all__) <= set(dir(certint))
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        certint.no_such_name
+    assert not hasattr(certint, "_sobol_table")
+
+
+# Submodules and names resolve on first access in a fresh interpreter.
+_FIRST_ACCESS = r"""
+import json, sys
+import certint
+before = sorted(m for m in sys.modules if m.startswith("certint."))
+mc = certint.montecarlo
+fn = certint.funappx
+print(json.dumps({
+    "before": before,
+    "montecarlo": mc is sys.modules["certint.montecarlo"],
+    "funappx": fn is sys.modules["certint.univariate"].funappx,
+    "cached": "funappx" in vars(certint),
+}))
+"""
+
+
+def test_names_resolve_on_first_access():
+    proc = subprocess.run([sys.executable, "-c", _FIRST_ACCESS], check=True,
+                          capture_output=True, text=True)
+    out = json.loads(proc.stdout)
+    assert out == {"before": [], "montecarlo": True, "funappx": True,
+                   "cached": True}

@@ -1,6 +1,7 @@
 """Guaranteed Monte Carlo: Hoeffding sizing, two-stage mean, cubature."""
 
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -448,6 +449,29 @@ class TestMeanMc:
         tmu, diag = mean_mc(lambda n, g: g.random(n), params, RngStream(6))
         assert diag.exit_flags & 1
         assert diag.extra["ntot"] <= 50_000
+
+    def test_time_budget_counts_only_drawing(self, monkeypatch):
+        # a slow first planning call, as a cold import of scipy.special
+        # makes it, must not shrink the steps that the time budget allows
+        params = McParams(tol=ToleranceSpec(1e-3, 0.0))
+        y = lambda n, g: g.random(n)**2
+        want, want_diag = mean_mc(y, params, RngStream(5))
+        plan = montecarlo.two_stage_n
+        calls = []
+
+        def slow_first_call(*args):
+            if not calls:
+                time.sleep(0.5)
+            calls.append(args)
+            return plan(*args)
+
+        monkeypatch.setattr(montecarlo, "two_stage_n", slow_first_call)
+        got, diag = mean_mc(y, McParams(tol=params.tol, tbudget_seconds=3.0),
+                            RngStream(5))
+        assert calls
+        assert diag.exit_flags == 0
+        assert got.hex() == want.hex()
+        assert diag.n_evals == want_diag.n_evals
 
     def test_budgets_belong_to_their_solvers(self):
         # the draw and time limits are McParams fields; Budget holds only

@@ -19,6 +19,7 @@ from certint import (
     fwht_inplace,
     periodize,
 )
+from certint import qmc_points
 from certint.qmc_points import (
     _FWHT_CHUNK,
     _SOBOL_FILE,
@@ -314,6 +315,19 @@ class TestPeriodizers:
         g = periodize(lambda x: x, Periodizer.BAKER)
         assert g(np.array([[0.25]]))[0] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("shape", [(7,), (1000, 8)])
+    def test_baker_matches_expression(self, shape):
+        # bit for bit against the expression with a temporary per operation
+        u = np.random.default_rng(21).random(shape)
+        u.flat[:6] = [0.0, 0.5, 1.0, 0.25, np.nextafter(0.5, 0.0),
+                      np.nextafter(1.0, 0.0)]
+        before = u.copy()
+        tent, weight = periodizer_map_weight(Periodizer.BAKER, u)
+        want = 1.0 - np.abs(2.0 * u - 1.0)
+        assert weight is None
+        assert tent.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+        assert np.array_equal(u, before)
+
     def test_c1sin_weight_kills_endpoints(self):
         for u in (0.0, 1.0):
             _, w = periodizer_map_weight(Periodizer.C1SIN, np.array([u]))
@@ -381,6 +395,60 @@ class TestSobolTable:
         assert table.dtype == np.uint64
         assert table.shape == (SOBOL_MAX_DIM, SOBOL_MAX_BITS)
         assert np.array_equal(table, _reference_sobol_table())
+
+    @pytest.mark.parametrize("order", [(1, 2, 3, 5, 64, 1111),
+                                       (1111, 64, 5, 3, 2, 1),
+                                       (5, 1, 64, 2, 1111, 3)])
+    def test_rows_built_as_asked(self, order):
+        # the table holds the most rows asked for so far and grows on demand
+        ref = _reference_sobol_table()
+        _cache.clear()
+        try:
+            for d in order:
+                table = _sobol_table(d)
+                assert table.dtype == np.uint64
+                assert np.array_equal(table[:d], ref[:d]), d
+            assert np.array_equal(_sobol_table(), ref)
+        finally:
+            _cache.clear()
+
+    @pytest.mark.parametrize("dim", [1, 2, SOBOL_MAX_DIM])
+    @pytest.mark.parametrize("fault", ["last row", "table", "checksum"])
+    def test_data_checks_fire_for_any_dimension(self, tmp_path, monkeypatch,
+                                                dim, fault):
+        # a generator of any dimension checks every row of the file, not
+        # only the rows it builds
+        src = os.path.join(os.path.dirname(__file__), "..", "src", "certint",
+                           "data", _SOBOL_FILE)
+        with open(src) as fh:
+            lines = fh.read().splitlines(keepends=True)
+        if fault == "last row":
+            lines[-1] = lines[-1].rsplit("\t", 1)[0] + "\n"
+        elif fault == "table":
+            lines = lines[:-1]
+        else:
+            # a comment edit that only the checksum can see
+            lines[0] = lines[0].rstrip("\n") + " edited\n"
+        (tmp_path / _SOBOL_FILE).write_text("".join(lines))
+        if fault == "checksum":
+            monkeypatch.setattr(qmc_points, "_data_path",
+                                lambda name: str(tmp_path / name))
+        else:
+            monkeypatch.setenv("GAILRS_DATA_DIR", str(tmp_path))
+        _cache.clear()
+        try:
+            with pytest.raises(DataFileError):
+                SobolGenerator(dim)
+        finally:
+            _cache.clear()
+
+    def test_generator_builds_only_its_rows(self):
+        _cache.clear()
+        try:
+            SobolGenerator(3)
+            assert _cache["sobol"].shape == (3, SOBOL_MAX_BITS)
+        finally:
+            _cache.clear()
 
 
 class TestDataFiles:
