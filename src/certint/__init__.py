@@ -25,8 +25,8 @@ _EXPORTS = {
     **dict.fromkeys(("CertintError", "ConfigurationError", "DataFileError",
                      "EvaluationError"), "errors"),
     **dict.fromkeys(("eval_batch", "parse", "render"), "exprlang"),
-    **dict.fromkeys(("CheckStatus", "Hyperbox", "McParams", "Measure",
-                     "cub_mc", "hoeffding_n", "kurtosis_bound", "mean_mc",
+    **dict.fromkeys(("Hyperbox", "McParams", "Measure", "cub_mc",
+                     "hoeffding_n", "kurtosis_bound", "mean_mc",
                      "mean_mc_ber", "measure_map", "two_stage_n"),
                     "montecarlo"),
     **dict.fromkeys(("QmcParams", "QmcResult", "cone_check", "cub_lattice",

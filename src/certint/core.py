@@ -15,6 +15,7 @@ source drives all sampling deterministically.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,6 +81,21 @@ def tolfun(spec: ToleranceSpec, mu_abs: float) -> float:
     if spec.toltype is TolType.MAX:
         return max(spec.abstol, spec.reltol * mu_abs)
     return spec.theta * spec.abstol + (1.0 - spec.theta) * spec.reltol * mu_abs
+
+
+def fsum_partials(partials) -> float:
+    """The correctly rounded sum of the per-chunk sums ``partials``.
+
+    Every estimate is formed so: ``math.fsum`` over the ``np.sum`` of each
+    chunk of values, so its bits depend only on the chunk size and on
+    numpy's sum of one contiguous chunk.  Where ``math.fsum`` raises, on an
+    intermediate overflow or on inf meeting -inf, the plain sum gives the
+    inf or nan that the sum overflows to.
+    """
+    try:
+        return math.fsum(partials)
+    except (OverflowError, ValueError):
+        return sum(partials)
 
 
 @dataclass(frozen=True)

@@ -48,11 +48,12 @@ union bound preserves the ``1 - alpha`` coverage.  A floor step that the
 budget cut short has no uncertainty left for another and raises exit
 flag 1.
 
-The draws are reduced in chunks of ``_CHUNK``.  The variance stage takes
-each chunk's sum of squared deviations from its own mean and merges the
-chunks with the pairwise update of Chan, Golub & LeVeque (1983), so a
-large offset does not cancel the variance; the mean stage and the
-Bernoulli solver only sum.
+The draws are reduced in chunks of ``_CHUNK``.  Every mean is
+``math.fsum`` of the chunks' ``np.sum``, divided by the draw count, so
+under a large offset the mean loses only what the chunk sums round away.
+The variance stage also takes each chunk's sum of squared deviations from
+its own mean and merges the chunks with the pairwise update of Chan, Golub
+& LeVeque (1983), so a large offset does not cancel the variance.
 
 :func:`mean_mc_ber` is the deterministic-cost Bernoulli special case via
 Hoeffding's inequality, and :func:`cub_mc` reduces hyperbox cubature
@@ -72,16 +73,17 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RngStream, SolverDiagnostics, ToleranceSpec, tolfun
+from .core import (RngStream, SolverDiagnostics, ToleranceSpec,
+                   fsum_partials, tolfun)
 from .errors import ConfigurationError, EvaluationError
 
 __all__ = [
-    "CheckStatus",
     "McParams",
     "Hyperbox",
     "Measure",
@@ -98,13 +100,6 @@ _BERRY_ESSEEN_C = 0.56
 _MIN_SAMPLE = 30
 _MAX_ITER = 1000
 _CHUNK = 1 << 16
-
-
-class CheckStatus(enum.IntEnum):
-    """The solver that certified a run, as reported in ``extra["flag"]``."""
-
-    CHECKED_BY_MEAN_MC = 1
-    CHECKED_BY_CUB_MC = 2
 
 
 class Measure(enum.Enum):
@@ -228,8 +223,10 @@ def two_stage_n(var_hat: float, fudge: float, tolfun_val: float,
     The least n >= 30 whose certified half-width, ``_half_width(n,
     alpha_mu, fudge * sqrt(var_hat), kurtmax)``, is at most
     ``tolfun_val``, found by doubling from 30 and then bisecting; a
-    degenerate variance estimate clamps to 30.  The search needs no cap:
-    the Chebyshev width falls below any positive tolerance.
+    degenerate variance estimate clamps to 30.  The Chebyshev width falls
+    below any positive tolerance, but perhaps only at a count too large
+    for a float: then no budget can pay for it, and the result is
+    ``math.inf``.
     """
     if not (tolfun_val > 0) or not (0 < alpha_mu < 1):
         raise ConfigurationError("tolfun_val and alpha_mu must be positive")
@@ -244,6 +241,8 @@ def two_stage_n(var_hat: float, fudge: float, tolfun_val: float,
 
     lo = hi = _MIN_SAMPLE
     while not meets(hi):
+        if 2 * hi > sys.float_info.max:
+            return math.inf
         lo, hi = hi, 2 * hi
     # hi meets the tolerance, and lo fails it unless both are the floor
     while hi - lo > 1:
@@ -283,19 +282,23 @@ def _plan_magnitude(m: float, n: int, alpha: float, sigtilde: float) -> float:
 
 def _draw_mean(yrand, n: int, gen, what: str, variance: bool = False,
                binary: bool = False):
-    """Mean of n draws, reduced in chunks of ``_CHUNK``, and with
-    ``variance`` their sample variance (else None).
+    """Mean of n draws and with ``variance`` their sample variance (else
+    None).
 
-    Each chunk is checked for finiteness (and with ``binary`` for {0,1}
-    values).  The variance centres each chunk on its own mean in a scratch
-    buffer, never in the sampler's array, and merges the chunks' sums of
-    squared deviations by the pairwise update of Chan, Golub & LeVeque
-    (1983), so it does not cancel under a large offset.  Data that really
-    is constant gives a zero variance whenever its chunk sums are exact
-    (every deviation is then 0.0, as for 2.5 or 1e8); otherwise its
-    variance is at the rounding level of the chunk mean.
+    The draws come in chunks of ``_CHUNK``, and the mean is ``math.fsum``
+    of the chunks' ``np.sum``, divided by n: correctly rounded from sums of
+    at most ``_CHUNK`` draws each.  A NaN or Inf draw makes its chunk's sum
+    non-finite, so only then is the chunk scanned; with ``binary`` each
+    chunk is checked for {0,1} values.  The variance centres each chunk on
+    its own mean in a scratch buffer, never in the sampler's array, and
+    merges the chunks' sums of squared deviations by the pairwise update of
+    Chan, Golub & LeVeque (1983), so it does not cancel under a large
+    offset.  Data that really is constant gives a zero variance whenever
+    its chunk sums are exact (every deviation is then 0.0, as for 2.5 or
+    1e8); otherwise its variance is at the rounding level of the chunk
+    mean.
     """
-    total = 0.0
+    sums = []
     m2 = 0.0
     scratch = np.empty(min(n, _CHUNK)) if variance else None
     done = 0
@@ -306,7 +309,6 @@ def _draw_mean(yrand, n: int, gen, what: str, variance: bool = False,
             raise EvaluationError(f"{what}: sampler returned shape {y.shape}, "
                                   f"wanted ({take},)")
         chunk_sum = float(np.sum(y))
-        # a NaN or Inf draw makes the sum non-finite, so only then scan
         if not math.isfinite(chunk_sum) and not np.all(np.isfinite(y)):
             raise EvaluationError(f"{what}: sampler returned NaN or Inf")
         if binary and not np.all((y == 0.0) | (y == 1.0)):
@@ -316,13 +318,13 @@ def _draw_mean(yrand, n: int, gen, what: str, variance: bool = False,
             dev = np.subtract(y, chunk_mean, out=scratch[:take])
             chunk_m2 = float(np.dot(dev, dev))
             if done:
-                delta = chunk_mean - total / done
+                delta = chunk_mean - fsum_partials(sums) / done
                 chunk_m2 += delta * delta * (done * take / (done + take))
             m2 += chunk_m2
-        total += chunk_sum
+        sums.append(chunk_sum)
         done += take
     var = (m2 / (n - 1) if n > 1 else 0.0) if variance else None
-    return total / n, var
+    return fsum_partials(sums) / n, var
 
 
 def mean_mc_ber(yrand, abstol: float = 1e-2, alpha: float = 0.01,
@@ -375,7 +377,8 @@ def mean_mc(yrand, params: McParams, rng: RngStream):
     n_t, alpha_t / 2, sigtilde))`` at ``alpha_t / 2``, so that it meets
     the tolerance at its own estimate too, and ``n_rel`` is step 1 planned
     from the variance stage's mean ``m0`` of ``n_sig`` draws.  ``n_up`` is
-    the planned total, ``n_sig`` plus the first planned step.  Exit flag 1
+    the planned total, ``n_sig`` plus the first planned step: an int up to
+    2^53, a float above, and ``inf`` when no float holds it.  Exit flag 1
     means ``params.nbudget`` or ``params.tbudget_seconds`` ran out before
     the tolerance was certified.
     """
@@ -476,8 +479,9 @@ def mean_mc(yrand, params: McParams, rng: RngStream):
             "kurtmax": kurtmax,
             "nremain": max(params.nbudget - ntot, 0),
             "ntot": ntot,
-            "n_up": n_up,
-            "flag": int(CheckStatus.CHECKED_BY_MEAN_MC),
+            # an exact int while a float holds it exactly, so that JSON
+            # never carries a count of hundreds of digits
+            "n_up": n_up if n_up <= 2**53 else float(n_up),
         },
     )
     return hmu, diag
@@ -513,16 +517,14 @@ def cub_mc(f, box: Hyperbox, params: McParams, rng: RngStream):
         "d": d,
         "measure": box.measure.value,
         "volume": volume,
-        "flag": int(CheckStatus.CHECKED_BY_CUB_MC),
     })
     return q, diag
 
 
 def _eval_integrand(f, pts: np.ndarray, what: str) -> np.ndarray:
+    # a NaN or Inf value is caught by the chunk sums of ``_draw_mean``
     vals = np.asarray(f(pts), dtype=float).reshape(-1)
     if vals.shape[0] != pts.shape[0]:
         raise EvaluationError(f"{what}: integrand returned {vals.shape[0]} values "
                               f"for {pts.shape[0]} points")
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationError(f"{what}: integrand returned NaN or Inf")
     return vals

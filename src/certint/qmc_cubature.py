@@ -24,50 +24,53 @@ block-sum bookkeeping depends on that ranking; the estimate itself is the
 plain average of the sampled values.
 
 One loop serves both cubatures; what differs is a small transform
-backend with four operations: evaluate and transform the first block,
-write the coefficient magnitudes where the block sums rank them, merge a
-refining block into the coefficients in place, and give the estimate.
-The Walsh backend (Sobol') takes as its refining block the natural index
-range [2^m, 2^(m+1)) and merges its Walsh coefficients with the old ones
-by one butterfly; the Fourier backend (lattice) takes the odd indices at
-level m+1 and merges their FFT by one radix-2 step with twiddles.
+backend with three operations: evaluate and transform the first block,
+write the coefficient magnitudes where the block sums rank them, and
+merge a refining block into the coefficients in place.  The Walsh backend
+(Sobol') takes as its refining block the natural index range
+[2^m, 2^(m+1)) and merges its Walsh coefficients with the old ones by one
+butterfly; the Fourier backend (lattice) takes the odd indices at level
+m+1 and merges their FFT by one radix-2 step with twiddles.
 
 Every block, the first one and each refining one, is evaluated in chunks
 of ``_EVAL_CHUNK`` rows: the chunk's points, their measure map and the
 integrand values exist only for that chunk, and the values go straight
-into the level's buffer.  Each point and each value is computed exactly
-as it would be in one piece, so the results do not depend on the chunk
-size.  The (n, d) point arrays are never built: the level buffers take
-O(n) memory whatever d is, and the points of one chunk O(2^15 d).
+into the backend's buffer.  Each point and each value is computed exactly
+as it would be in one piece, so the coefficients do not depend on the
+chunk size.  The (n, d) point arrays are never built: the level buffers
+take O(n) memory whatever d is, and the points of one chunk O(2^15 d).
 
-Both backends double their arrays in place, and write the magnitudes into
-an unfilled half or, at ``mmax``, over an array that is spent, so that in
-units of one float64 array of the final level a run holds:
+The estimate is ``math.fsum`` of the ``np.sum`` of every chunk evaluated
+so far, divided by n.  Its bits depend on ``_EVAL_CHUNK`` and on numpy's
+sum of one contiguous chunk, not on how the levels double, so neither
+backend keeps a copy of the values.
 
-* Walsh, about 1: one real buffer of coefficients and a running sum of
-  the values.  Each refining block is written into the upper half of the
-  grown buffer, summed and transformed there; the magnitudes go into
-  that half before it is filled, or at ``mmax`` over the coefficients.
-* Fourier, about 3: the values (1), kept in natural order because the
-  estimate is their plain mean, and one complex buffer of coefficients
-  (2).  The magnitudes go into the upper half of the grown value array
-  before the refining values are spread into it, or at ``mmax`` over the
-  values once the estimate is taken.  The coefficient buffer grows only
-  after the refining block is evaluated; the block is copied into its
-  upper half and transformed there.
+Both backends double their coefficient buffer in place in ``refine``.
+The magnitudes go into a fresh real array, or at ``mmax`` over the Walsh
+coefficients, which are spent by then, so that in units of one float64
+array of the final level a run holds:
+
+* Walsh, 1 at ``mmax`` and 2 on a tolerance stop: one real buffer of
+  coefficients, and the magnitudes apart from it below ``mmax``.  Each
+  refining block is written into the upper half of the grown buffer and
+  transformed there.
+* Fourier, 3: one complex buffer of coefficients (2) and the magnitudes
+  (1).  Each refining block is written into the real parts of the upper
+  half of the grown buffer and transformed there.
 
 The merges run one chunk at a time with one chunk of scratch.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .core import RngStream, ToleranceSpec, tolfun
+from .core import RngStream, ToleranceSpec, fsum_partials, tolfun
 from .errors import ConfigurationError, EvaluationError
 # the engine looks measure_map up by this module's name
 from .montecarlo import Hyperbox, measure_map
@@ -158,9 +161,8 @@ def _block_sums(coeffs: np.ndarray, m: int, mags: np.ndarray) -> np.ndarray:
 
     The magnitudes |coeffs| are written into ``mags`` and ranked there.
     ``mags`` is a real array of the same length that nothing reads
-    afterwards: an unfilled half of a grown array (the Walsh buffer, or the
-    Fourier backend's values), or at ``mmax`` the Walsh coefficients or the
-    Fourier values themselves.
+    afterwards: a fresh one, or at ``mmax`` the Walsh coefficients
+    themselves.
 
     Position 0 holds the DC magnitude |c[0]| (the estimate itself); the
     other magnitudes are ranked largest first, so the dyadic position
@@ -203,12 +205,6 @@ def _certified_bound(sums: np.ndarray, m: int, fudge: Callable) -> float:
 # enough that the per-call overhead of numpy stays negligible.
 _EVAL_CHUNK = 1 << 15
 
-# numpy sums a contiguous float64 array pairwise, and splits a power-of-two
-# length above this block into its exact halves, so the sum of such a level
-# is the sum of its old half plus the sum of its refining block, bit for
-# bit.  A level of this many values or fewer is summed from its values.
-_PAIRWISE_BLOCK = 128
-
 
 def _adaptive_cubature(points, f, params: QmcParams, backend,
                        what: str) -> QmcResult:
@@ -222,9 +218,12 @@ def _adaptive_cubature(points, f, params: QmcParams, backend,
     cube.  ``backend`` is :class:`_Fourier` or :class:`_Walsh`.
     """
 
+    partials = []
+
     def fill(level: int, start: int, step: int, out: np.ndarray) -> None:
         """Write the integrand at the natural indices start, start + step,
-        ... of ``level`` into ``out``, one chunk at a time.
+        ... of ``level`` into ``out``, one chunk at a time, and append the
+        sum of each chunk's values to ``partials``.
 
         The unit-cube points live only until ``points`` has mapped them, so
         the integrand runs next to the mapped points alone, and a chunk's
@@ -232,7 +231,8 @@ def _adaptive_cubature(points, f, params: QmcParams, backend,
         value count is checked before the values are multiplied by the
         mapping's factors (in the order given), so a scalar is never
         broadcast to a chunk; a scalar factor of 1.0 is skipped, since it
-        changes no bit.
+        changes no bit.  A NaN or Inf value makes the chunk's sum
+        non-finite, so only then are the values scanned.
         """
         for lo in range(0, out.size, _EVAL_CHUNK):
             hi = min(lo + _EVAL_CHUNK, out.size)
@@ -246,8 +246,10 @@ def _adaptive_cubature(points, f, params: QmcParams, backend,
             for factor in factors:
                 if not (np.ndim(factor) == 0 and factor == 1.0):
                     vals = vals * factor
-            if not np.all(np.isfinite(vals)):
+            total = float(np.sum(vals))
+            if not math.isfinite(total) and not np.all(np.isfinite(vals)):
                 raise EvaluationError(f"{what}: integrand returned NaN or Inf")
+            partials.append(total)
             out[lo:hi] = vals
             del pts, factors, vals
 
@@ -256,10 +258,8 @@ def _adaptive_cubature(points, f, params: QmcParams, backend,
     levels = backend(fill, m)
     exitflag = 0
     while True:
-        # the estimate first: at mmax the magnitudes may overwrite what it
-        # is taken from
-        q = levels.estimate(1 << m)
-        sums = levels.block_sums(m, grow=m < params.mmax)
+        q = fsum_partials(partials) / (1 << m)
+        sums = levels.block_sums(m, last=m >= params.mmax)
         bound = _certified_bound(sums, m, params.fudge)
         if cone_check(sums, params.fudge):
             exitflag |= 2
@@ -278,83 +278,58 @@ def _adaptive_cubature(points, f, params: QmcParams, backend,
     )
 
 
-# The backends double their arrays in place with ``ndarray.resize``
-# (realloc, no copy of the old half).  No view of them lives across such a
-# call, so the reference check, which a tracer's or debugger's own
-# references would trip, is not needed.  The magnitudes the block sums
-# rank go into the last 2^m floats of the array that grew: its unfilled
-# upper half, or at ``mmax`` the whole array, which is spent by then.
+# The backends double their buffer in place with ``ndarray.resize``
+# (realloc, no copy of the old half, zeros in the new one).  No view of it
+# lives across such a call, so the reference check, which a tracer's or
+# debugger's own references would trip, is not needed.
 
 class _Walsh:
-    """Walsh coefficients of the Sobol' values in one real buffer, and a
-    running sum of the values."""
+    """Walsh coefficients of the Sobol' values in one real buffer."""
 
     def __init__(self, fill, m: int):
         n = 1 << m
-        # the values, summed and then transformed in place; ``values``
-        # keeps the values of a level whose sum is not the sum of its halves
+        # the values, transformed in place
         self.buf = np.empty(n)
         fill(m, 0, 1, self.buf)
-        self.values = self.buf.copy() if n <= _PAIRWISE_BLOCK else None
-        self.total = np.add.reduce(self.buf)
         fwht_inplace(self.buf)
         self.buf /= n
 
-    def estimate(self, n: int) -> float:
-        return float(self.total / n)
-
-    def block_sums(self, m: int, grow: bool) -> np.ndarray:
-        n = 1 << m
-        if grow:
-            self.buf.resize(2 * n, refcheck=False)
-        return _block_sums(self.buf[:n], m, self.buf[-n:])
+    def block_sums(self, m: int, last: bool) -> np.ndarray:
+        # at mmax the coefficients are spent once their magnitudes are taken
+        return _block_sums(self.buf, m, self.buf if last else np.empty(1 << m))
 
     def refine(self, fill, m: int) -> None:
         # the next block of net indices, [2^m, 2^(m+1)), in the upper half
         # of the grown buffer
         n = 1 << m
+        self.buf.resize(2 * n, refcheck=False)
         upper = self.buf[n:]
         fill(m + 1, n, 1, upper)
-        if 2 * n <= _PAIRWISE_BLOCK:
-            self.values = np.concatenate((self.values, upper))
-            self.total = np.add.reduce(self.values)
-        else:
-            self.total = self.total + np.add.reduce(upper)
         fwht_inplace(upper)
         _merge(self.buf, twiddled=False)
 
 
 class _Fourier:
-    """FFT coefficients of the lattice values in one complex buffer, and
-    the values in natural order, since the estimate is their mean."""
+    """FFT coefficients of the lattice values in one complex buffer."""
 
     def __init__(self, fill, m: int):
         n = 1 << m
-        self.values = np.empty(n)
-        fill(m, 0, 1, self.values)
-        self.buf = self.values.astype(complex)
+        # the values in the real parts, transformed in place
+        self.buf = np.zeros(n, dtype=complex)
+        fill(m, 0, 1, self.buf.real)
         np.fft.fft(self.buf, out=self.buf)
         self.buf /= n
 
-    def estimate(self, n: int) -> float:
-        return float(np.mean(self.values[:n]))
-
-    def block_sums(self, m: int, grow: bool) -> np.ndarray:
-        if grow:
-            self.values.resize(2 << m, refcheck=False)
-        return _block_sums(self.buf, m, self.values[-(1 << m):])
+    def block_sums(self, m: int, last: bool) -> np.ndarray:
+        return _block_sums(self.buf, m, np.empty(1 << m))
 
     def refine(self, fill, m: int) -> None:
-        # the old values to the even places, the refining block (the odd
-        # natural indices at level m+1) to the odd ones; the coefficient
-        # buffer grows only then, so it is never held next to the chunks
+        # the refining block, the odd natural indices at level m+1, in the
+        # real parts of the upper half of the grown buffer
         n = 1 << m
-        y = self.values
-        y[0::2] = y[:n].copy()
-        fill(m + 1, 1, 2, y[1::2])
         self.buf.resize(2 * n, refcheck=False)
         upper = self.buf[n:]
-        upper[:] = y[1::2]
+        fill(m + 1, 1, 2, upper.real)
         np.fft.fft(upper, out=upper)
         _merge(self.buf, twiddled=True)
 

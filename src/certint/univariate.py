@@ -51,7 +51,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Budget, SolverDiagnostics
+from .core import Budget, SolverDiagnostics, fsum_partials
 from .errors import ConfigurationError, EvaluationError
 
 __all__ = [
@@ -66,6 +66,9 @@ __all__ = [
 ]
 
 _MAX_CONE_DOUBLINGS = 64
+
+# integral sums its grid in slices of this many values
+_SUM_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -548,7 +551,11 @@ def integral(p: IntervalProblem):
     Returns ``(q, diagnostics)``.  Exit flag bit 1 marks point-budget
     exhaustion, bit 2 the iteration cap; ``nstar`` doubles (and
     ``tauchange`` is set) whenever the sampled data contradict the cone
-    inequality, before any further points are spent.
+    inequality, before any further points are spent.  The grid is one
+    subinterval, so ``extra.nstar`` is a one-entry list, as ``funappx``
+    reports one entry per subinterval.  The sum of the values in ``q`` is
+    ``math.fsum`` of the ``np.sum`` of each slice of ``_SUM_CHUNK``
+    values.
     """
     t_start = time.perf_counter()
     ninit = ninit_rule(p.nlo, p.nhi, p.a, p.b)
@@ -595,7 +602,9 @@ def integral(p: IntervalProblem):
         v_bound = tau_tilde * v_hat / denom if denom > 0 else np.inf
         v_bound = max(v_bound, w_hat)
         errest = v_bound * h * h / 12.0
-        q = h * (np.sum(ys) - 0.5 * (ys[0] + ys[-1]))
+        total = fsum_partials([float(np.sum(ys[lo:lo + _SUM_CHUNK]))
+                               for lo in range(0, n, _SUM_CHUNK)])
+        q = h * (total - 0.5 * (ys[0] + ys[-1]))
 
         if errest <= p.abstol:
             break
@@ -625,9 +634,9 @@ def integral(p: IntervalProblem):
         elapsed_seconds=time.perf_counter() - t_start,
         extra={
             "ninit": ninit,
-            "nstar": nstar,
-            "tau": 2 * nstar + 1,
+            "nstar": [nstar],
             "tauchange": tauchange,
+            "n_subintervals": 1,
             "abstol": p.abstol,
         },
     )

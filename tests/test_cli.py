@@ -153,6 +153,24 @@ class TestErrors:
         assert rc == 2
 
 
+    @pytest.mark.parametrize("abstol", ["1e-4", "1e-10"])
+    @pytest.mark.parametrize("argv", [["meanmc", "--f", "1e150*x"],
+                                      ["cubmc", "--f", "1e150*x1",
+                                       "--box", "0,1"]])
+    def test_hopeless_tolerance_flags_the_budget(self, tmp_path, argv,
+                                                 abstol):
+        # no budget pays for the planned draws, and at 1e-10 no float
+        # holds their count
+        path = tmp_path / "r.json"
+        rc = run(argv + ["--abstol", abstol, "--reltol", "0", "--nbudget",
+                         "100000", "--json", str(path)])
+        assert rc == 2
+        diag = json.loads(path.read_text())["diagnostics"]
+        assert diag["exit_flags"] == 1 and diag["n_evals"] == 100_000
+        n_up = diag["extra"]["n_up"]
+        assert type(n_up) is float and n_up > 2**53
+
+
 class TestJson:
     def test_roundtrip_byte_identical(self, tmp_path):
         path = tmp_path / "r.json"

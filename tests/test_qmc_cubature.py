@@ -27,7 +27,6 @@ from certint import (
 )
 from certint.qmc_cubature import (
     _EVAL_CHUNK,
-    _PAIRWISE_BLOCK,
     _block_sums,
     _certified_bound,
     _merge,
@@ -72,13 +71,12 @@ class TestBlockSumsOracle:
         want_sums, want_bound = _argsort_block_sums_and_bound(
             coeffs, m, default_fudge)
         if kind == "complex":
-            # the lattice loop: magnitudes into the unfilled half of the
-            # grown value array, or at mmax over the values, a real array
-            # apart from the coefficients either way
+            # the lattice loop: magnitudes into a real array apart from the
+            # coefficients
             places = [(coeffs, np.empty(n))]
         else:
-            # the Sobol' loop: magnitudes into the upper half of the grown
-            # buffer, or at mmax over the coefficients themselves
+            # the Sobol' loop: magnitudes into an array apart from the
+            # coefficients, or at mmax over the coefficients themselves
             grown = np.concatenate([coeffs, np.empty(n)])
             own = coeffs.copy()
             places = [(grown[:n], grown[n:]), (own, own)]
@@ -123,7 +121,7 @@ class TestGoldenValues:
         "cubsobol x^2 moments normal, budget": (
             cub_sobol, lambda x: x[:, 0]**2 * x[:, 1]**2 * x[:, 2]**2,
             NORMAL3, ToleranceSpec(1e-12, 0.0), "id", 28, 18,
-            ("0x1.ff976476316fep-1", 262144, "0x1.3e3cfa208c68bp-6", 1)),
+            ("0x1.ff976476316fdp-1", 262144, "0x1.3e3cfa208c68bp-6", 1)),
         "cublattice prod [0,1]^2": (
             cub_lattice, lambda x: np.prod(x, axis=1), UNIT2,
             ToleranceSpec(1e-5, 0.0), "c1sin", 21, 24,
@@ -131,7 +129,7 @@ class TestGoldenValues:
         "cublattice 8 prod [0,1]^5": (
             cub_lattice, lambda x: 8.0 * np.prod(x, axis=1), UNIT5,
             ToleranceSpec(1e-5, 0.0), "baker", 25, 24,
-            ("0x1.ffffff726cc42p-3", 1048576, "0x1.01c3e8d7f0275p-17", 0)),
+            ("0x1.ffffff726cc43p-3", 1048576, "0x1.01c3e8d7f0275p-17", 0)),
         "cublattice poisson kernel": (
             cub_lattice,
             lambda x: 3.0 / (5.0 - 4.0 * np.cos(2.0 * np.pi * x[:, 0])),
@@ -372,12 +370,12 @@ class TestChunkedEvaluation:
     def test_peak_memory_of_the_level_buffers(self):
         # d = 1, so the level buffers dominate.  In units of one float64
         # array of the final 2^20 points: the Sobol' loop holds one buffer
-        # that doubles in place (1.09 measured with the chunk's arrays; a
-        # value array next to the coefficients and their magnitudes would
-        # make 3); the lattice loop holds the values (1) and one complex
-        # buffer (2), both doubled in place, with the magnitudes in the
-        # values' unfilled half or over the values (3.25 measured; new
-        # arrays for the magnitudes and the merge made 5.0).
+        # that doubles in place, with the magnitudes over it at mmax (1.06
+        # measured with the chunk's arrays; a value array next to the
+        # coefficients and their magnitudes would make 3); the lattice loop
+        # holds one complex buffer (2), doubled in place, and the
+        # magnitudes (1) (3.00 measured; new arrays for the magnitudes and
+        # the merge next to a value array made 5.0).
         unit = 8 * 2**20
         box = Hyperbox([-math.inf], [math.inf], Measure.NORMAL)
         params = QmcParams(tol=ToleranceSpec(1e-14, 0.0), mmin=10, mmax=20)
@@ -405,24 +403,24 @@ def _merge_fwht_reference(coeffs, ynew):
     return 0.5 * np.concatenate([coeffs + new, coeffs - new])
 
 
+def _estimate_reference(values):
+    """The estimate from the values of each integrand call: ``math.fsum``
+    of their ``np.sum``, over the number of values."""
+    return math.fsum(float(np.sum(v)) for v in values) / \
+        sum(v.size for v in values)
+
+
+_M_CHUNK = _EVAL_CHUNK.bit_length() - 1
+
+
 class TestRunningSum:
-    """The Sobol' estimate is a running sum of the blocks' sums.  It equals
-    the mean of all the values bit for bit, also where a run crosses the
-    level of ``_PAIRWISE_BLOCK`` values, at or below which numpy's pairwise
-    sum does not split in halves and the level's values are kept."""
+    """The Sobol' estimate is ``math.fsum`` of the sums of the integrand
+    calls, and its block sums and bound are those of the one-piece merges,
+    bit for bit, also where the levels cross ``_EVAL_CHUNK`` values."""
 
-    def test_pairwise_sum_splits_in_halves(self):
-        # the running sum rests on this property of numpy; a numpy that
-        # sums otherwise fails here first
-        rng = np.random.default_rng(0)
-        for k in range(_PAIRWISE_BLOCK.bit_length(), 21):
-            n = 1 << k
-            y = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, size=n)
-            halves = np.add.reduce(y[:n // 2]) + np.add.reduce(y[n // 2:])
-            assert float(np.add.reduce(y)).hex() == float(halves).hex(), n
-
-    @pytest.mark.parametrize("mmax", [10, 11, 12])
-    @pytest.mark.parametrize("mmin", [1, 6, 7, 8])
+    @pytest.mark.parametrize("mmin,mmax", [
+        (mmin, mmax) for mmin in (1, 6, 7, 8) for mmax in (10, 11, 12)] + [
+        (_M_CHUNK - 1, _M_CHUNK + 1), (_M_CHUNK, _M_CHUNK + 2)])
     def test_matches_mean_and_reference(self, mmin, mmax):
         values = []
 
@@ -437,8 +435,8 @@ class TestRunningSum:
         assert res.n == 2**mmax and res.exitflag & 1
         # the unit box has volume 1.0, so the recorded values are the
         # integrand the cubature averages
+        assert res.q.hex() == _estimate_reference(values).hex()
         y = np.concatenate(values)
-        assert res.q.hex() == float(np.mean(y)).hex()
         coeffs = _walsh_coeffs_reference(y[:2**mmin])
         for m in range(mmin, mmax):
             coeffs = _merge_fwht_reference(coeffs, y[2**m:2**(m + 1)])
@@ -460,11 +458,11 @@ def _merge_fft_reference(coeffs, ynew):
 
 
 class TestLatticeLevels:
-    """The lattice estimate is ``np.mean`` of the values in natural order,
-    and its block sums and bound are those of the one-piece merges, bit for
-    bit, also where the levels cross ``_EVAL_CHUNK`` values."""
+    """The lattice estimate is ``math.fsum`` of the sums of the integrand
+    calls, and its block sums and bound are those of the one-piece merges,
+    bit for bit, also where the levels cross ``_EVAL_CHUNK`` values."""
 
-    M = _EVAL_CHUNK.bit_length() - 1
+    M = _M_CHUNK
 
     @pytest.mark.parametrize("mmin,mmax", [
         (1, 5), (1, M + 1), (M - 1, M + 1), (M, M + 2), (M + 1, M + 2)])
@@ -483,14 +481,11 @@ class TestLatticeLevels:
         # with no periodizer on the unit box the Jacobian and the volume
         # are 1.0, so the recorded values are the integrand the cubature
         # averages: the first block, then the odd indices of each level
+        assert res.q.hex() == _estimate_reference(values).hex()
         recorded = np.concatenate(values)
-        y = recorded[:2**mmin]
-        coeffs = np.fft.fft(y) / y.size
+        coeffs = np.fft.fft(recorded[:2**mmin]) / 2**mmin
         for m in range(mmin, mmax):
-            ynew = recorded[2**m:2**(m + 1)]
-            coeffs = _merge_fft_reference(coeffs, ynew)
-            y = np.stack([y, ynew], axis=1).reshape(-1)
-        assert res.q.hex() == float(np.mean(y)).hex()
+            coeffs = _merge_fft_reference(coeffs, recorded[2**m:2**(m + 1)])
         sums, bound = _argsort_block_sums_and_bound(coeffs, mmax,
                                                     default_fudge)
         assert [v.hex() for v in res.extra["block_sums"]] == \
