@@ -20,8 +20,9 @@ A run's report is a dict: ``command``, ``inputs`` (the parsed flags),
 ``estimate`` and ``diagnostics`` (the JSON view of the run's
 :class:`SolverDiagnostics`), plus ``grid`` for ``funappx --grid N`` and
 ``pass``/``truth``/``truth_provenance`` per ``examples`` row.  ``--json
-PATH`` writes it (a list of them for ``examples``); timing is kept out of
-the JSON so fixed-seed reports are byte-identical across runs.  Exit
+PATH`` writes it (a list of them for ``examples``) as strict JSON, with
+NaN and infinities as ``null``; timing is kept out of the JSON so
+fixed-seed reports are byte-identical across runs.  Exit
 codes: 0 clean, 1 configuration/parse error, 2 a documented warning flag
 was raised, 3 one or more example fixtures failed.
 """
@@ -51,13 +52,17 @@ __all__ = ["run", "run_doc_examples", "main"]
 
 
 def _dump_json(payload, path: str) -> None:
-    """Write ``json.dumps(payload, sort_keys=True, indent=2)`` and a newline.
+    """Write ``json.dumps(payload, sort_keys=True, indent=2)`` and a newline,
+    with every NaN and infinity written as ``null``.
 
-    With ``indent`` set, json encodes element by element in pure Python.
-    Here a flat list of numbers (a ``--grid`` holds thousands) goes
-    through json's C encoder in one call and is re-joined with the same
-    separators and indentation; strings and finite numbers are written
-    as json writes them, and anything else is left to json itself.
+    json writes those as the bare tokens ``NaN`` and ``Infinity``, which
+    RFC 8259 parsers such as JavaScript's ``JSON.parse`` reject; ``null``
+    is what ``JSON.stringify`` writes.  With ``indent`` set, json encodes
+    element by element in pure Python.  Here a flat list of finite
+    numbers (a ``--grid`` holds thousands) goes through json's C encoder
+    in one call and is re-joined with the same separators and
+    indentation; strings and finite numbers are written as json writes
+    them, and anything else is left to json itself.
     """
     parts = []
     _encode(payload, "\n", parts)
@@ -73,8 +78,10 @@ def _encode(obj, newline: str, parts: list) -> None:
     kind = type(obj)
     if kind is str:
         parts.append(encode_basestring_ascii(obj))
-    elif kind is int or (kind is float and math.isfinite(obj)):
+    elif kind is int:
         parts.append(repr(obj))
+    elif isinstance(obj, float):
+        parts.append(float.__repr__(obj) if math.isfinite(obj) else "null")
     elif kind is dict and obj and all(type(k) is str for k in obj):
         sep = "{" + inner
         for key in sorted(obj):
@@ -84,9 +91,13 @@ def _encode(obj, newline: str, parts: list) -> None:
         parts.append(newline + "}")
     elif kind in (list, tuple) and obj:
         if set(map(type, obj)) <= {float, int}:
-            items = json.dumps(obj)[1:-1].split(", ")
-            parts.append("[" + inner + ("," + inner).join(items) + newline + "]")
-            return
+            text = json.dumps(obj)
+            # only a NaN or an infinity spells a letter
+            if "N" not in text and "I" not in text:
+                items = text[1:-1].split(", ")
+                parts.append("[" + inner + ("," + inner).join(items)
+                             + newline + "]")
+                return
         sep = "[" + inner
         for item in obj:
             parts.append(sep)
@@ -94,9 +105,9 @@ def _encode(obj, newline: str, parts: list) -> None:
             sep = "," + inner
         parts.append(newline + "]")
     else:
-        # True, False, None, NaN, +-Inf, empty containers, other types
-        parts.append(json.dumps(obj, sort_keys=True, indent=2)
-                     .replace("\n", newline))
+        # True, False, None, empty containers, other types
+        parts.append(json.dumps(obj, sort_keys=True, indent=2,
+                                allow_nan=False).replace("\n", newline))
 
 
 # ---------------------------------------------------------------------------

@@ -144,12 +144,14 @@ def cone_check(block_sums, fudge: Callable) -> bool:
     """
     s = np.asarray(block_sums, dtype=float)
     mtop = s.size - 1
-    for fine in range(1, mtop + 1):
-        gaps = fine - np.arange(fine)
-        limits = np.asarray(fudge(gaps), dtype=float) * s[:fine]
-        if np.all(s[fine] > limits):
-            return True
-    return False
+    if mtop < 1:
+        return False
+    # row: fine level 1..mtop, column: coarse level 0..mtop-1; the gap
+    # fine - coarse picks its factor, and pairs with coarse >= fine pass
+    gap = np.arange(1, mtop + 1)[:, None] - np.arange(mtop)
+    factors = np.asarray(fudge(np.arange(1, mtop + 1)), dtype=float)
+    exceeds = s[1:, None] > factors[np.maximum(gap, 1) - 1] * s[:-1]
+    return bool(np.any(np.all(exceeds | (gap < 1), axis=1)))
 
 
 # ---------------------------------------------------------------------------

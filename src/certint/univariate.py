@@ -16,21 +16,24 @@ Three adaptive solvers share the same data-driven machinery:
   ``abstol`` above the best sampled value cannot hold a minimizer and is
   dropped; only the rest are split, until every remaining row's bound is
   within ``abstol`` or their total candidate length is within ``tolx``.
-* :func:`integral` -- adaptive trapezoidal quadrature on a doubling
-  uniform grid.
+* :func:`integral` -- adaptive trapezoidal quadrature on nested uniform
+  grids.  A grid whose error bound misses ``abstol`` is refined by the
+  least factor k >= 2 at which the same bound, from the same data,
+  meets it at spacing h / k.
 
 Each solver holds only what its next step reads.  A split writes the two
 halves of each row straight from the parent's knots and cell midpoints,
 and each parent is freed once its halves are written; rows that are all
 pending or all finished pass on uncopied; one scratch array serves each
 check's differences; :func:`funappx` frees each finished block once it
-is copied into the knots or the values; and :func:`integral` frees the
-old abscissae once the new ones are written.  In units of one float64
-array of the run's final point count, the traced peak is about 3.1 for
-:func:`funappx` (x^2 on [0, 100] at ``abstol`` 1e-7), 3.1 for
-:func:`integral` (its last doubling: the old values, the midpoints and
-their values, and the new grid) and 1.1 for :func:`funmin` (sin 5x on
-[0, 10] at 1e-9).
+is copied into the knots or the values; and :func:`integral` writes
+each refined grid in place, freeing each old array once it is copied.
+In units of one float64 array of the run's final point count, the
+traced peak is about 3.1 for :func:`funappx` (x^2 on [0, 100] at
+``abstol`` 1e-7), 3.1 for :func:`integral` (the bound on its final grid:
+the abscissae, the values and one scratch array; x^4 on [-0.9823,
+2.083] at 1e-7) and 1.1 for :func:`funmin` (sin 5x on [0, 10] at
+1e-9).
 
 All three compute their error estimates from centered second differences
 and the deviation of local slopes from the secant slope; when the sampled
@@ -77,8 +80,9 @@ class IntervalProblem:
 
     ``f`` must accept a 1-d ndarray of abscissae and return an
     equal-length ndarray of values; it is assumed pure.  The solvers call
-    it once per round: :func:`funappx` and :func:`funmin` with all of that
-    round's new midpoints in ascending order.
+    it once per round, with all of that round's new abscissae in
+    ascending order: the new midpoints for :func:`funappx` and
+    :func:`funmin`, the points that refine the grid for :func:`integral`.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -211,14 +215,6 @@ def _midpoints(xs):
     mids = xs[..., :-1] + xs[..., 1:]
     mids *= 0.5
     return mids
-
-
-def _interleave(even, odd):
-    """The 1-d array ``even[0], odd[0], even[1], ...`` of length
-    ``2 * len(even) - 1``."""
-    out = np.empty(2 * even.size - 1)
-    out[0::2], out[1::2] = even, odd
-    return out
 
 
 def _halves(knots, mids):
@@ -545,13 +541,88 @@ def _merge_cells(xs: np.ndarray, mask: np.ndarray) -> list:
 # integral: adaptive trapezoidal quadrature
 # ---------------------------------------------------------------------------
 
+def _trapezoid_errest(v_hat, w_hat, tau_tilde, h):
+    """The cone bound max(tau v_hat / (1 - tau h / 2), w_hat) h^2 / 12 on
+    the trapezoidal error at spacing h; infinite where 1 - tau h / 2 is
+    not positive."""
+    denom = 1.0 - 0.5 * tau_tilde * h
+    v_bound = tau_tilde * v_hat / denom if denom > 0 else np.inf
+    return max(v_bound, w_hat) * h * h / 12.0
+
+
+def _refinement(v_hat, w_hat, tau_tilde, length, cells, abstol, kmax):
+    """The least k >= 2 whose grid of ``cells * k`` cells meets ``abstol``
+    by :func:`_trapezoid_errest` on this grid's data, capped at ``kmax``.
+
+    The largest spacing that meets it is the positive root of
+    tau v_hat h^2 = 12 abstol (1 - tau h / 2), or sqrt(12 abstol / w_hat)
+    if that is smaller; k starts at the ceiling of the ratio of the
+    spacings and is stepped to the least k the rounded bound accepts.
+    """
+    def meets(k):
+        h = length / (cells * k)
+        return _trapezoid_errest(v_hat, w_hat, tau_tilde, h) <= abstol
+
+    a_tau = 6.0 * abstol * tau_tilde
+    h_star = 24.0 * abstol / (
+        a_tau + math.hypot(a_tau, math.sqrt(48.0 * tau_tilde * v_hat * abstol)))
+    if w_hat > 0:
+        h_star = min(h_star, math.sqrt(12.0 * abstol / w_hat))
+    ratio = length / cells / h_star
+    k = max(2, math.ceil(ratio)) if ratio < kmax else kmax
+    while k < kmax and not meets(k):
+        k += 1
+    while k > 2 and meets(k - 1):
+        k -= 1
+    return k
+
+
+def _subdivide(xs, k, out):
+    """Write x_i + j (x_i+1 - x_i) / k for j = 1, ..., k - 1 into row i
+    of the (n - 1, k - 1) array ``out``."""
+    step = out[:, 0]
+    np.subtract(xs[1:], xs[:-1], out=step)
+    step /= k
+    np.multiply(step[:, None], np.arange(2.0, k), out=out[:, 1:])
+    out += xs[:-1, None]
+
+
+def _nested(coarse, k, fine=None):
+    """The grid of (n - 1) k + 1 points that holds the n points of
+    ``coarse`` at every k-th position and, between them, the (n - 1) (k -
+    1) points of ``fine``, or the abscissae of :func:`_subdivide` when
+    ``fine`` is None."""
+    out = np.empty((coarse.size - 1) * k + 1)
+    cells = out[:-1].reshape(-1, k)
+    cells[:, 0] = coarse[:-1]
+    out[-1] = coarse[-1]
+    if fine is None:
+        _subdivide(coarse, k, cells[:, 1:])
+    else:
+        cells[:, 1:] = fine.reshape(-1, k - 1)
+    return out
+
+
 def integral(p: IntervalProblem):
     """Adaptive trapezoidal integration of ``p.f`` over [a, b].
 
-    Returns ``(q, diagnostics)``.  Exit flag bit 1 marks point-budget
-    exhaustion, bit 2 the iteration cap; ``nstar`` doubles (and
-    ``tauchange`` is set) whenever the sampled data contradict the cone
-    inequality, before any further points are spent.  The grid is one
+    Each round bounds the error of the trapezoidal rule on its uniform
+    grid of n points by the cone bound max(tau v_hat / (1 - tau h / 2),
+    w_hat) h^2 / 12, with tau = nstar / (2 (b - a)).  ``nstar`` doubles
+    (and ``tauchange`` is set) whenever the sampled data contradict the
+    cone inequality, before any further points are spent.  A round whose
+    bound misses ``abstol`` refines the grid by the least integer k >= 2
+    at which the same bound, from the same v_hat, w_hat and tau at
+    spacing h / k, meets it: the next grid has (n - 1) k + 1 points, the
+    old ones at every k-th position with their values reused, and ``p.f``
+    gets the new abscissae x_i + j (x_i+1 - x_i) / k in one call, in
+    ascending order.  k is capped at (nmax - 1) // (n - 1), so a capped
+    round spends up to the point budget.
+
+    Returns ``(q, diagnostics)``; ``iterations`` counts the grids.  Exit
+    flag bit 1 (value 1) marks a point budget that cannot pay for a
+    refinement by 2, bit 2 (value 2) the iteration cap; when both bind
+    in the same round, both bits are set (value 3).  The grid is one
     subinterval, so ``extra.nstar`` is a one-entry list, as ``funappx``
     reports one entry per subinterval.  The sum of the values in ``q`` is
     ``math.fsum`` of the ``np.sum`` of each slice of ``_SUM_CHUNK``
@@ -598,31 +669,32 @@ def integral(p: IntervalProblem):
             tauchange = True
 
         tau_tilde = nstar / (2.0 * length)
-        denom = 1.0 - 0.5 * tau_tilde * h
-        v_bound = tau_tilde * v_hat / denom if denom > 0 else np.inf
-        v_bound = max(v_bound, w_hat)
-        errest = v_bound * h * h / 12.0
+        errest = _trapezoid_errest(v_hat, w_hat, tau_tilde, h)
         total = fsum_partials([float(np.sum(ys[lo:lo + _SUM_CHUNK]))
                                for lo in range(0, n, _SUM_CHUNK)])
         q = h * (total - 0.5 * (ys[0] + ys[-1]))
 
         if errest <= p.abstol:
             break
-        if 2 * (n - 1) + 1 > p.budget.nmax:
+        kmax = (p.budget.nmax - 1) // (n - 1)
+        if kmax < 2:
             exit_flags |= 1
-            break
         if iters >= p.budget.maxiter:
             exit_flags |= 2
+        if exit_flags:
             break
         iters += 1
-        # insert the cell midpoints, reusing the existing values; the old
-        # abscissae are freed once the new ones are written
-        mids = _midpoints(xs)
-        ymid = _call_f(p.f, mids, "integral")
-        xs = _interleave(xs, mids)
-        del mids
-        ys = _interleave(ys, ymid)
-        del ymid
+        k = _refinement(v_hat, w_hat, tau_tilde, length, n - 1, p.abstol,
+                        kmax)
+        # the new abscissae, their values, then the nested values and
+        # abscissae, each old array freed once it is copied; the new
+        # abscissae are computed again in place rather than kept
+        fresh = np.empty((n - 1, k - 1))
+        _subdivide(xs, k, fresh)
+        fresh = _call_f(p.f, fresh.ravel(), "integral")
+        ys = _nested(ys, k, fresh)
+        del fresh
+        xs = _nested(xs, k)
 
     diag = SolverDiagnostics(
         algorithm="integral",

@@ -168,7 +168,23 @@ class TestErrors:
         diag = json.loads(path.read_text())["diagnostics"]
         assert diag["exit_flags"] == 1 and diag["n_evals"] == 100_000
         n_up = diag["extra"]["n_up"]
-        assert type(n_up) is float and n_up > 2**53
+        if abstol == "1e-10":
+            assert n_up is None     # infinite, written as null
+        else:
+            assert type(n_up) is float and n_up > 2**53
+
+    @pytest.mark.parametrize("argv", [["meanmc", "--f", "1e150*x"],
+                                      ["cubmc", "--f", "1e150*x1",
+                                       "--box", "0,1"]])
+    def test_hopeless_report_is_strict_json(self, tmp_path, argv):
+        # its n_up is infinite: json's default writes the bare token
+        # Infinity, which RFC 8259 parsers reject
+        path = tmp_path / "r.json"
+        rc = run(argv + ["--abstol", "1e-10", "--reltol", "0", "--nbudget",
+                         "100000", "--json", str(path)])
+        assert rc == 2
+        report = _strict_loads(path.read_text())
+        assert report["diagnostics"]["extra"]["n_up"] is None
 
 
 class TestJson:
@@ -189,8 +205,29 @@ class TestJson:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+def _nulled(obj):
+    """``obj`` with every NaN and infinity replaced by None, as a strict
+    JSON writer writes them."""
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return None
+    if isinstance(obj, dict):
+        return {key: _nulled(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(_nulled(item) for item in obj)
+    return obj
+
+
+def _strict_loads(text):
+    """``json.loads`` that rejects the NaN and Infinity tokens, which RFC
+    8259 does not allow."""
+    def reject(token):
+        raise ValueError(f"not RFC 8259 JSON: {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 class TestDumpJson:
-    """``_dump_json`` writes exactly what ``json.dumps(indent=2)`` writes."""
+    """``_dump_json`` writes exactly what ``json.dumps(indent=2)`` writes,
+    with NaN and infinities written as null."""
 
     @pytest.mark.parametrize("payload", [
         {"xs": [], "ys": [], "empty": {}, "nested": [[]]},
@@ -204,8 +241,21 @@ class TestDumpJson:
     def test_matches_indented_dumps(self, tmp_path, payload):
         path = tmp_path / "out.json"
         _dump_json(payload, str(path))
-        want = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        want = json.dumps(_nulled(payload), sort_keys=True, indent=2) + "\n"
         assert path.read_text() == want
+        _strict_loads(path.read_text())
+
+    @pytest.mark.parametrize("payload", [
+        float("nan"), [float("inf")], {"a": -float("inf")},
+        [[1.0, float("nan")], {"x": [None, float("inf"), True]}],
+    ])
+    def test_non_finite_is_null(self, tmp_path, payload):
+        path = tmp_path / "out.json"
+        _dump_json(payload, str(path))
+        assert "NaN" not in path.read_text()
+        assert "Infinity" not in path.read_text()
+        assert _strict_loads(path.read_text()) == json.loads(
+            json.dumps(_nulled(payload)))
 
     def test_grid_report(self, tmp_path):
         path = tmp_path / "grid.json"

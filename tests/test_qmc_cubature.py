@@ -174,6 +174,39 @@ class TestConeCheck:
         assert cone_check(sums, default_fudge) is True
 
 
+    @staticmethod
+    def _loop_reference(block_sums, fudge):
+        """The check as one comparison per fine level."""
+        s = np.asarray(block_sums, dtype=float)
+        for fine in range(1, s.size):
+            gaps = fine - np.arange(fine)
+            limits = np.asarray(fudge(gaps), dtype=float) * s[:fine]
+            if np.all(s[fine] > limits):
+                return True
+        return False
+
+    @pytest.mark.parametrize("fudge", [
+        default_fudge,
+        lambda m: 3.0 * 1.5 ** -np.asarray(m, dtype=float),
+        lambda m: 0.5 + np.cos(np.asarray(m, dtype=float)) ** 2,
+    ], ids=["default", "slow-decay", "non-monotone"])
+    def test_matches_loop_over_fine_levels(self, fudge):
+        rng = np.random.default_rng(7)
+        flagged = 0
+        for _ in range(3000):
+            size = int(rng.integers(0, 26))
+            # few distinct magnitudes spread over decades: zeros and ties
+            pool = np.concatenate(([0.0], 10.0 ** rng.uniform(-6, 1, size=3)))
+            sums = pool[rng.integers(0, pool.size, size=size)]
+            if rng.random() < 0.5:
+                sums = sums * 2.0 ** -np.arange(size)
+            got = cone_check(sums, fudge)
+            assert got is self._loop_reference(sums, fudge)
+            flagged += got
+        # both outcomes are exercised
+        assert 300 < flagged < 2700
+
+
 class TestMeasureMap:
     def test_unit_box_identity(self):
         pts = np.array([[0.2, 0.9], [0.5, 0.5]])

@@ -20,11 +20,15 @@ from certint import (
     integral,
     ninit_rule,
 )
+from certint.core import fsum_partials
 from certint.univariate import (
     _CURVATURE_INFLATION,
+    _SUM_CHUNK,
     _call_f,
     _merge_cells,
+    _refinement,
     _split_rows,
+    _trapezoid_errest,
 )
 from test_acceptance import _cone_family
 
@@ -297,12 +301,13 @@ class TestPeakMemory:
         assert self._traced_peak(funappx, p) < 4.0
 
     def test_integral(self):
-        # the last doubling holds the old values (0.5), the midpoints and
-        # their values (1) and the new abscissae (1), then the new values
-        # (1) in place of the old abscissae and the midpoints: 3.13
-        # measured; keeping the old abscissae through the doubling made
-        # 3.50, and separate slope, deviation and curvature arrays kept
-        # through it 6.50
+        # 97,889 points in two grids.  The bound on the final grid holds
+        # the abscissae, the values, one scratch array and a mask of it
+        # (1/8): 3.13 measured.  A refinement by k holds at most the old
+        # grid (2/k), the new points' values (1 - 1/k) and the new values
+        # (1), then the new abscissae (1) in their place; keeping the old
+        # abscissae through a doubling made 3.50, and separate slope,
+        # deviation and curvature arrays kept through it 6.50
         p = IntervalProblem(f=lambda x: x**4, a=-0.9823, b=2.083,
                             abstol=1e-7)
         assert self._traced_peak(integral, p) < 3.25
@@ -576,6 +581,129 @@ class TestIntegral:
                             budget=Budget(maxiter=2))
         _, diag = integral(p)
         assert diag.exit_flags & 2
+
+    # the integrand families of the benchmark's integral solves, with
+    # their antiderivatives
+    FAMILIES = [
+        ("x^2", lambda x: x**2, lambda x: x**3 / 3),
+        ("x^3", lambda x: x**3, lambda x: x**4 / 4),
+        ("x^4", lambda x: x**4, lambda x: x**5 / 5),
+        ("exp(1.0x)", lambda x: np.exp(x), np.exp),
+        ("exp(1.25x)", lambda x: np.exp(1.25 * x),
+         lambda x: np.exp(1.25 * x) / 1.25),
+        ("exp(1.5x)", lambda x: np.exp(1.5 * x),
+         lambda x: np.exp(1.5 * x) / 1.5),
+        ("cos(1.5x)", lambda x: np.cos(1.5 * x),
+         lambda x: np.sin(1.5 * x) / 1.5),
+        ("cos(1.75x)", lambda x: np.cos(1.75 * x),
+         lambda x: np.sin(1.75 * x) / 1.75),
+        ("cos(2x)", lambda x: np.cos(2 * x), lambda x: np.sin(2 * x) / 2),
+    ]
+
+    @pytest.mark.parametrize("name, f, big_f", FAMILIES,
+                             ids=[fam[0] for fam in FAMILIES])
+    @pytest.mark.parametrize("a, b", [(-1.0, 2.0), (-1.1, 1.9), (-0.9, 2.1)])
+    def test_families_in_few_grids(self, name, f, big_f, a, b):
+        # a refinement sized from the first grid's bound meets abstol on
+        # the next grid or the one after
+        q, diag = integral(IntervalProblem(f=f, a=a, b=b, abstol=1e-7))
+        assert diag.exit_flags == 0
+        assert abs(q - (big_f(b) - big_f(a))) <= diag.errest <= 1e-7
+        assert diag.iterations <= 3
+
+    def test_refinement_is_least_k(self):
+        rng = np.random.default_rng(23)
+        for _ in range(2000):
+            v_hat, w_hat = 10 ** rng.uniform(-3, 3, size=2)
+            if rng.random() < 0.2:
+                v_hat = 0.0
+            if rng.random() < 0.2:
+                w_hat = 0.0
+            length = rng.uniform(0.5, 5)
+            cells = int(rng.integers(2, 1000))
+            tau = int(rng.integers(1, 8 * cells)) / (2 * length)
+            abstol = 10 ** rng.uniform(-12, -3)
+            kmax = int(rng.integers(2, 10**5))
+            k = _refinement(v_hat, w_hat, tau, length, cells, abstol, kmax)
+
+            def meets(k):
+                h = length / (cells * k)
+                return _trapezoid_errest(v_hat, w_hat, tau, h) <= abstol
+
+            assert 2 <= k <= kmax
+            assert k == kmax or meets(k)
+            assert k == 2 or not meets(k - 1)
+
+    def test_budget_caps_the_jump(self):
+        # the least grid that meets abstol has 2,064,113 points
+        f = lambda x: np.exp(1.3 * x)
+        for nmax in (5000, 10**6, 2_064_112):
+            for maxiter, flags in ((1000, 1), (2, 3)):
+                p = IntervalProblem(f=f, a=-1, b=2, abstol=1e-10,
+                                    budget=Budget(nmax=nmax, maxiter=maxiter))
+                _, diag = integral(p)
+                cells = diag.extra["ninit"] - 1
+                # one capped jump spends up to the budget; when it is also
+                # the last round allowed, both limits bind
+                assert diag.iterations == 2
+                assert diag.n_evals == (nmax - 1) // cells * cells + 1
+                assert diag.n_evals <= nmax
+                assert diag.exit_flags == flags
+                assert 1e-10 < diag.errest < math.inf
+
+    def test_infinite_first_bound_jumps_to_a_finite_one(self):
+        # slopes within the rounding floor of the secant but curvature
+        # above it: v_hat is 0, nstar doubles until 1 - tau h / 2 <= 0,
+        # and the first grid's bound is infinite
+        eps = np.finfo(float).eps
+        f = lambda x: 1.0 + 3 * eps * np.cos(10 * math.pi * x)
+        for maxiter in (1, 2):
+            p = IntervalProblem(f=f, a=0.0, b=1.0, abstol=1e-10, nlo=11,
+                                nhi=11, budget=Budget(maxiter=maxiter))
+            q, diag = integral(p)
+            assert diag.extra["tauchange"]
+            if maxiter == 1:
+                assert diag.errest == math.inf
+                assert diag.exit_flags == 2
+            else:
+                assert diag.exit_flags == 0
+                assert diag.errest <= 1e-10
+                assert abs(q - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("abstol", [1e-4, 1e-7, 1e-10])
+    def test_one_call_per_round_reusing_values(self, abstol):
+        calls = []
+
+        def f(x):
+            # impure on purpose: a value computed again would differ
+            y = np.exp(1.3 * x) + len(calls) * 1e-3
+            calls.append((x.copy(), y))
+            return y
+
+        q, diag = integral(IntervalProblem(f=f, a=-1, b=2, abstol=abstol))
+        assert len(calls) == diag.iterations
+        assert sum(x.size for x, _ in calls) == diag.n_evals
+        xs, ys = calls[0]
+        assert np.array_equal(xs, np.linspace(-1, 2, xs.size))
+        for new_x, new_y in calls[1:]:
+            assert np.all(np.diff(new_x) > 0)
+            k = new_x.size // (xs.size - 1) + 1
+            assert new_x.size == (xs.size - 1) * (k - 1)
+            step = (xs[1:] - xs[:-1]) / k
+            expect = xs[:-1, None] + np.arange(1, k) * step[:, None]
+            assert np.array_equal(new_x, expect.ravel())
+            grid = np.empty((2, (xs.size - 1) * k + 1))
+            for out, old, new in zip(grid, (xs, ys), (new_x, new_y)):
+                cells = out[:-1].reshape(-1, k)
+                cells[:, 0], cells[:, 1:] = old[:-1], new.reshape(-1, k - 1)
+                out[-1] = old[-1]
+            xs, ys = grid
+        assert diag.n_points == xs.size
+        # q is the trapezoidal sum of exactly the values f returned
+        h = 3.0 / (xs.size - 1)
+        total = fsum_partials([float(np.sum(ys[lo:lo + _SUM_CHUNK]))
+                               for lo in range(0, ys.size, _SUM_CHUNK)])
+        assert q == h * (total - 0.5 * (ys[0] + ys[-1]))
 
     def test_interval_validation(self):
         with pytest.raises(ConfigurationError):
