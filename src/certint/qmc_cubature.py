@@ -59,10 +59,29 @@ array of the final level a run holds:
   half of the grown buffer and transformed there.
 
 The merges run one chunk at a time with one chunk of scratch.
+
+A run may put its own array work on a pool of threads, one per CPU the
+process may run on (``os.sched_getaffinity``).  The pool is made for the
+run, started by the first block that may use it and joined when the run
+ends.  Its threads prepare the chunks' points (the generator, the
+periodizer and the measure map) ahead of the integrand, run the rows and
+column slabs of the Walsh transform, the chunks of the merge, and the
+magnitudes and the sort of the block sums, the sort as a partition at the
+median and a sort of each half.  The integrand stays on the calling
+thread, which gets the chunks in ascending order.  Each value comes from
+the same operations on the same operands, so the result is bit for bit
+that of a serial run.  A block may use the pool only when its chunks in
+flight, the one being evaluated and one per thread prepared ahead, each
+of 2^15 rows of d + 1 floats, come to at most a quarter of its values:
+in the units above, at most a quarter of a unit, and an eighth at a
+refining block.  The merge adds one chunk of scratch per thread, and the
+transform's scratch stays at 2^16 elements in all.  A process bound to
+one CPU, or a run whose blocks are all too small, starts no thread.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 from dataclasses import dataclass, field
@@ -82,6 +101,9 @@ from .qmc_points import (
     LatticeGenerator,
     Periodizer,
     SobolGenerator,
+    _SERIAL,
+    _pool_size,
+    _Pool,
     fwht_inplace,
     periodizer_map_weight,
 )
@@ -158,7 +180,8 @@ def cone_check(block_sums, fudge: Callable) -> bool:
 # Shared doubling engine
 # ---------------------------------------------------------------------------
 
-def _block_sums(coeffs: np.ndarray, m: int, mags: np.ndarray) -> np.ndarray:
+def _block_sums(coeffs: np.ndarray, m: int, mags: np.ndarray,
+                pool: _Pool = _SERIAL) -> np.ndarray:
     """Dyadic block sums S(0), ..., S(m) of the ranked magnitudes.
 
     The magnitudes |coeffs| are written into ``mags`` and ranked there.
@@ -175,17 +198,36 @@ def _block_sums(coeffs: np.ndarray, m: int, mags: np.ndarray) -> np.ndarray:
     sorting the values gives the same blocks as any stable ranking.  They
     are negated, sorted ascending and negated back in one contiguous
     array: a sum over a reversed view would round differently.
+
+    A ``pool`` of several threads takes the magnitudes in slices, and
+    sorts by a partition at the boundary of the finest block, the median,
+    then a sort of each part on its own thread: the same sorted array, so
+    the same sums.
     """
-    np.abs(coeffs, out=mags)
+    def negated_magnitudes(part: slice) -> None:
+        np.abs(coeffs[part], out=mags[part])
+        np.negative(mags[part], out=mags[part])
+
+    pool.run(negated_magnitudes, _slices(mags.size, pool.size))
+    mags[0] = -mags[0]
     tail = mags[1:]
-    np.negative(tail, out=tail)
-    tail.sort()
+    if pool.size < 2:
+        tail.sort()
+    else:
+        median = tail.size // 2
+        tail.partition(median)
+        pool.run(np.ndarray.sort, (tail[:median], tail[median:]))
     np.negative(tail, out=tail)
     sums = np.empty(m + 1)
     sums[0] = mags[0]
     for level in range(1, m + 1):
         sums[level] = float(np.sum(mags[1 << (level - 1):1 << level]))
     return sums
+
+
+def _slices(n: int, parts: int) -> list:
+    """``parts`` contiguous slices that cover range(n)."""
+    return [slice(n * i // parts, n * (i + 1) // parts) for i in range(parts)]
 
 
 # The top observed block alone can understate the invisible aliased mass,
@@ -206,10 +248,15 @@ def _certified_bound(sums: np.ndarray, m: int, fudge: Callable) -> float:
 # the points, the measure map and the integrand to work in cache, large
 # enough that the per-call overhead of numpy stays negligible.
 _EVAL_CHUNK = 1 << 15
+# A block runs on the pool only when its chunks in flight, the one being
+# evaluated and one per thread prepared ahead, at d + 1 floats a row (the
+# points and a Jacobian), come to at most 1 / _POOL_SHARE of the values it
+# fills.
+_POOL_SHARE = 4
 
 
-def _adaptive_cubature(points, f, params: QmcParams, backend,
-                       what: str) -> QmcResult:
+def _adaptive_cubature(points, f, params: QmcParams, backend, what: str,
+                       dimension: int) -> QmcResult:
     """Doubling loop shared by the lattice and Sobol' cubatures.
 
     ``points(m, start, stop, step)`` builds the unit-cube points of the
@@ -218,60 +265,87 @@ def _adaptive_cubature(points, f, params: QmcParams, backend,
     map applied) and the factors (the Jacobian, if the transform has one,
     then the volume) that turn ``f(pts)`` into the integrand on the unit
     cube.  ``backend`` is :class:`_Fourier` or :class:`_Walsh`.
+
+    The run's own array work, but never ``f``, may go to a pool of one
+    thread per CPU the process may use, started by the first block that
+    passes the memory rule of ``_POOL_SHARE`` and joined when the run
+    ends.  Each value is computed by the same operations on the same
+    operands either way, so the result is bit for bit the serial one.
     """
 
     partials = []
+    pool = _Pool(_pool_size())
 
-    def fill(level: int, start: int, step: int, out: np.ndarray) -> None:
+    def pool_for(size: int) -> _Pool:
+        """The pool a block of ``size`` values runs on."""
+        in_flight = (pool.size + 1) * min(size, _EVAL_CHUNK) * (dimension + 1)
+        return pool if _POOL_SHARE * in_flight <= size else _SERIAL
+
+    def fill(level: int, start: int, step: int, out: np.ndarray,
+             block_pool: _Pool) -> None:
         """Write the integrand at the natural indices start, start + step,
         ... of ``level`` into ``out``, one chunk at a time, and append the
         sum of each chunk's values to ``partials``.
 
         The unit-cube points live only until ``points`` has mapped them, so
         the integrand runs next to the mapped points alone, and a chunk's
-        arrays are freed before the next chunk's points are built.  The
-        value count is checked before the values are multiplied by the
-        mapping's factors (in the order given), so a scalar is never
-        broadcast to a chunk; a scalar factor of 1.0 is skipped, since it
-        changes no bit.  A NaN or Inf value makes the chunk's sum
-        non-finite, so only then are the values scanned.
+        arrays are freed before the next chunk's points are built, or, on a
+        ``block_pool`` of several threads, once ``f`` has its values: then
+        the pool's threads prepare the next chunks while ``f`` runs, here,
+        on each chunk in ascending order.  The value count is checked
+        before the values are multiplied by the mapping's factors (in the
+        order given), so a scalar is never broadcast to a chunk; a scalar
+        factor of 1.0 is skipped, since it changes no bit.  A NaN or Inf
+        value makes the chunk's sum non-finite, so only then are the values
+        scanned.
         """
-        for lo in range(0, out.size, _EVAL_CHUNK):
+        def prepare(lo: int) -> tuple:
             hi = min(lo + _EVAL_CHUNK, out.size)
-            pts, factors = points(level, start + step * lo,
-                                  start + step * hi, step)
-            vals = np.asarray(f(pts), dtype=float).reshape(-1)
-            if vals.shape[0] != pts.shape[0]:
-                raise EvaluationError(
-                    f"{what}: integrand returned {vals.shape[0]} values for "
-                    f"{pts.shape[0]} points")
-            for factor in factors:
-                if not (np.ndim(factor) == 0 and factor == 1.0):
-                    vals = vals * factor
-            total = float(np.sum(vals))
-            if not math.isfinite(total) and not np.all(np.isfinite(vals)):
-                raise EvaluationError(f"{what}: integrand returned NaN or Inf")
-            partials.append(total)
-            out[lo:hi] = vals
-            del pts, factors, vals
+            return (lo, hi) + points(level, start + step * lo,
+                                     start + step * hi, step)
+
+        chunks = block_pool.ahead(prepare, range(0, out.size, _EVAL_CHUNK),
+                                  block_pool.size)
+        with contextlib.closing(chunks):
+            for lo, hi, pts, factors in chunks:
+                vals = np.asarray(f(pts), dtype=float).reshape(-1)
+                if vals.shape[0] != pts.shape[0]:
+                    raise EvaluationError(
+                        f"{what}: integrand returned {vals.shape[0]} values "
+                        f"for {pts.shape[0]} points")
+                for factor in factors:
+                    if not (np.ndim(factor) == 0 and factor == 1.0):
+                        vals = vals * factor
+                total = float(np.sum(vals))
+                if not math.isfinite(total) and not np.all(np.isfinite(vals)):
+                    raise EvaluationError(
+                        f"{what}: integrand returned NaN or Inf")
+                partials.append(total)
+                out[lo:hi] = vals
+                del pts, factors, vals
 
     t_start = time.perf_counter()
     m = params.mmin
-    levels = backend(fill, m)
     exitflag = 0
-    while True:
-        q = fsum_partials(partials) / (1 << m)
-        sums = levels.block_sums(m, last=m >= params.mmax)
-        bound = _certified_bound(sums, m, params.fudge)
-        if cone_check(sums, params.fudge):
-            exitflag |= 2
-        if bound <= tolfun(params.tol, abs(q)):
-            break
-        if m >= params.mmax:
-            exitflag |= 1
-            break
-        levels.refine(fill, m)
-        m += 1
+    try:
+        block = pool_for(1 << m)
+        levels = backend(fill, m, block)
+        while True:
+            q = fsum_partials(partials) / (1 << m)
+            sums = levels.block_sums(m, m >= params.mmax, block)
+            bound = _certified_bound(sums, m, params.fudge)
+            if cone_check(sums, params.fudge):
+                exitflag |= 2
+            if bound <= tolfun(params.tol, abs(q)):
+                break
+            if m >= params.mmax:
+                exitflag |= 1
+                break
+            block = pool_for(1 << m)
+            levels.refine(fill, m, block)
+            m += 1
+    finally:
+        pool.close()
 
     return QmcResult(
         q=q, n=1 << m, bound_err=float(bound), exitflag=exitflag,
@@ -288,55 +362,58 @@ def _adaptive_cubature(points, f, params: QmcParams, backend,
 class _Walsh:
     """Walsh coefficients of the Sobol' values in one real buffer."""
 
-    def __init__(self, fill, m: int):
+    def __init__(self, fill, m: int, pool: _Pool):
         n = 1 << m
         # the values, transformed in place
         self.buf = np.empty(n)
-        fill(m, 0, 1, self.buf)
-        fwht_inplace(self.buf)
+        fill(m, 0, 1, self.buf, pool)
+        fwht_inplace(self.buf, pool)
         self.buf /= n
 
-    def block_sums(self, m: int, last: bool) -> np.ndarray:
+    def block_sums(self, m: int, last: bool,
+                   pool: _Pool) -> np.ndarray:
         # at mmax the coefficients are spent once their magnitudes are taken
-        return _block_sums(self.buf, m, self.buf if last else np.empty(1 << m))
+        return _block_sums(self.buf, m, self.buf if last else np.empty(1 << m),
+                           pool)
 
-    def refine(self, fill, m: int) -> None:
+    def refine(self, fill, m: int, pool: _Pool) -> None:
         # the next block of net indices, [2^m, 2^(m+1)), in the upper half
         # of the grown buffer
         n = 1 << m
         self.buf.resize(2 * n, refcheck=False)
         upper = self.buf[n:]
-        fill(m + 1, n, 1, upper)
-        fwht_inplace(upper)
-        _merge(self.buf, twiddled=False)
+        fill(m + 1, n, 1, upper, pool)
+        fwht_inplace(upper, pool)
+        _merge(self.buf, False, pool)
 
 
 class _Fourier:
     """FFT coefficients of the lattice values in one complex buffer."""
 
-    def __init__(self, fill, m: int):
+    def __init__(self, fill, m: int, pool: _Pool):
         n = 1 << m
         # the values in the real parts, transformed in place
         self.buf = np.zeros(n, dtype=complex)
-        fill(m, 0, 1, self.buf.real)
+        fill(m, 0, 1, self.buf.real, pool)
         np.fft.fft(self.buf, out=self.buf)
         self.buf /= n
 
-    def block_sums(self, m: int, last: bool) -> np.ndarray:
-        return _block_sums(self.buf, m, np.empty(1 << m))
+    def block_sums(self, m: int, last: bool,
+                   pool: _Pool) -> np.ndarray:
+        return _block_sums(self.buf, m, np.empty(1 << m), pool)
 
-    def refine(self, fill, m: int) -> None:
+    def refine(self, fill, m: int, pool: _Pool) -> None:
         # the refining block, the odd natural indices at level m+1, in the
         # real parts of the upper half of the grown buffer
         n = 1 << m
         self.buf.resize(2 * n, refcheck=False)
         upper = self.buf[n:]
-        fill(m + 1, 1, 2, upper.real)
+        fill(m + 1, 1, 2, upper.real, pool)
         np.fft.fft(upper, out=upper)
-        _merge(self.buf, twiddled=True)
+        _merge(self.buf, True, pool)
 
 
-def _merge(buf: np.ndarray, twiddled: bool) -> None:
+def _merge(buf: np.ndarray, twiddled: bool, pool: _Pool = _SERIAL) -> None:
     """Coefficients at level m+1, in place, by one radix-2 step.
 
     ``buf`` holds the level-m coefficients c in its lower half and the
@@ -344,21 +421,27 @@ def _merge(buf: np.ndarray, twiddled: bool) -> None:
     scaling by 1/n, for the Fourier merge the twiddles
     tw_k = exp(-2 pi i k / 2n), the butterfly 0.5 * (c + tw new, c - tw new)
     and the halving run one cache-sized chunk at a time, each chunk with
-    its own twiddles and one chunk of scratch for c - tw new.
+    its own twiddles and one chunk of scratch for c - tw new.  Each thread
+    of the ``pool`` takes a run of chunks, with its own scratch.
     """
     n = buf.size // 2
-    scratch = np.empty(min(n, _EVAL_CHUNK), dtype=buf.dtype)
-    for lo in range(0, n, _EVAL_CHUNK):
-        hi = min(lo + _EVAL_CHUNK, n)
-        c, new, diff = buf[lo:hi], buf[n + lo:n + hi], scratch[:hi - lo]
-        new /= n
-        if twiddled:
-            tw = np.exp(-2j * np.pi * np.arange(lo, hi) / (2 * n))
-            np.multiply(tw, new, out=new)
-        np.subtract(c, new, out=diff)
-        c += new
-        c *= 0.5
-        np.multiply(diff, 0.5, out=new)
+
+    def merge(chunks: range) -> None:
+        scratch = np.empty(min(n, _EVAL_CHUNK), dtype=buf.dtype)
+        for lo in chunks:
+            hi = min(lo + _EVAL_CHUNK, n)
+            c, new, diff = buf[lo:hi], buf[n + lo:n + hi], scratch[:hi - lo]
+            new /= n
+            if twiddled:
+                tw = np.exp(-2j * np.pi * np.arange(lo, hi) / (2 * n))
+                np.multiply(tw, new, out=new)
+            np.subtract(c, new, out=diff)
+            c += new
+            c *= 0.5
+            np.multiply(diff, 0.5, out=new)
+
+    chunks = range(0, n, _EVAL_CHUNK)
+    pool.run(merge, [chunks[part] for part in _slices(len(chunks), pool.size)])
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +482,8 @@ def cub_lattice(f, box: Hyperbox, params: QmcParams,
         pts, scale = measure_map(mapped_u, box)
         return pts, jacobian + (scale,)
 
-    res = _adaptive_cubature(points, f, params, _Fourier, "cub_lattice")
+    res = _adaptive_cubature(points, f, params, _Fourier, "cub_lattice",
+                             box.dimension)
     res.extra.update({"transform": params.transform.value,
                       "shift": gen.shift.tolist()})
     return res
@@ -421,6 +505,7 @@ def cub_sobol(f, box: Hyperbox, params: QmcParams,
         pts, scale = measure_map(gen.points(start, stop), box)
         return pts, (scale,)
 
-    res = _adaptive_cubature(points, f, params, _Walsh, "cub_sobol")
+    res = _adaptive_cubature(points, f, params, _Walsh, "cub_sobol",
+                             box.dimension)
     res.extra.update({"digital_shift": gen.digital_shift.tolist()})
     return res

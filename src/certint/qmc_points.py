@@ -33,8 +33,11 @@ again and builds the cached table for its dimension.
 
 from __future__ import annotations
 
+import collections
+import contextvars
 import enum
 import hashlib
+import itertools
 import os
 from typing import Callable
 
@@ -308,6 +311,95 @@ class LatticeGenerator:
 
 
 # ---------------------------------------------------------------------------
+# Worker threads
+# ---------------------------------------------------------------------------
+
+def _pool_size() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+class _Pool:
+    """Threads for the array work of one cubature run.
+
+    ``size`` threads are started on the first :meth:`submit` and joined by
+    :meth:`close`; a run that never submits starts none and imports no
+    ``concurrent.futures``.  A pool of size 1 submits nothing: it runs
+    every call of :meth:`run` and :meth:`ahead` on the calling thread.
+    Each task runs in a copy of the submitting thread's context, so numpy's
+    error state there applies to it too.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self._executor = None
+
+    def submit(self, fn, *args):
+        if self._executor is None:
+            from concurrent.futures import ThreadPoolExecutor
+            self._executor = ThreadPoolExecutor(
+                self.size, thread_name_prefix="certint")
+        return self._executor.submit(contextvars.copy_context().run, fn,
+                                     *args)
+
+    def ahead(self, fn, items, depth: int):
+        """``fn(item)`` for each item, in order, each call submitted
+        ``depth`` items before its result is taken.  A generator: closing it
+        cancels the calls not yet started and waits for the others."""
+        if self.size < 2:
+            yield from map(fn, items)
+            return
+        items = iter(items)
+        pending = collections.deque(
+            self.submit(fn, item) for item in itertools.islice(items, depth))
+        try:
+            while pending:
+                for item in itertools.islice(items, 1):
+                    pending.append(self.submit(fn, item))
+                yield pending.popleft().result()
+        finally:
+            for fut in pending:
+                fut.cancel()
+            for fut in pending:
+                if not fut.cancelled():
+                    fut.exception()     # waits; the error in flight wins
+
+    def run(self, fn, tasks) -> list:
+        """``fn(task)`` for every task on the threads, in any order; the
+        results in task order, once every call has ended.  Every future
+        is waited for and read before the first error among them is
+        raised, so that no task is left running; at the first error the
+        ones not yet started are cancelled."""
+        if self.size < 2:
+            return [fn(task) for task in tasks]
+        futures = [self.submit(fn, task) for task in tasks]
+        results, error = [], None
+        for fut in futures:
+            try:
+                results.append(fut.result())
+            except BaseException as exc:    # re-raised once all have ended
+                if error is None:
+                    error = exc
+                    for rest in futures:
+                        rest.cancel()
+        if error is not None:
+            raise error
+        return results
+
+    def close(self) -> None:
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)
+            self._executor = None
+
+
+# runs every task on the calling thread
+_SERIAL = _Pool(1)
+
+
+# ---------------------------------------------------------------------------
 # Transforms
 # ---------------------------------------------------------------------------
 
@@ -318,75 +410,122 @@ def _check_pow2(n: int) -> None:
 
 # Stages whose blocks of 2h elements fit in this many elements run one chunk
 # at a time, so that a chunk stays in cache across those stages.  The
-# scratch buffer holds at most this many elements whatever the length.
+# scratch buffers hold at most this many elements together whatever the
+# length.
 _FWHT_CHUNK = 1 << 16
 # Stages with h below this run as h pairs of 1-d strided views; a 2-d view
 # of rows of length h would pay one inner loop per row of h elements.
 _FWHT_STRIDED = 16
 
 
-def fwht_inplace(values: np.ndarray) -> np.ndarray:
+def fwht_inplace(values: np.ndarray, pool: _Pool = _SERIAL) -> np.ndarray:
     """Unnormalized fast Walsh-Hadamard transform, mutating ``values``.
 
     Stage h (h = 1, 2, 4, ...) replaces each pair (l, r) that is h apart
     within a block of 2h by (l + r, l - r).  ``l - r`` goes to a scratch
-    buffer of at most ``_FWHT_CHUNK`` elements reused by every stage, then
-    ``l += r`` and the scratch is copied into ``r``.  The small stages
-    h < 16 take the pairs as strided views, one per offset o < h:
-    ``l = a[o::2h]`` and ``r = a[o+h::2h]``; the larger stages take them
-    as the two halves of each row of the (n / 2h, 2h) view, a block of rows
-    or a piece of one row's halves at a time, so that the pairs of one
-    block fit the scratch.  The stages with 2h <= 2^16 run chunk by chunk;
-    the rest run over the whole array.  Every pair is computed by the same
-    two operations whatever the blocking, so the result does not depend on
-    it.  Applying the transform twice multiplies the input by its length.
+    buffer, then ``l += r`` and the scratch is copied into ``r``.  The
+    array is viewed as rows of one chunk of at most ``_FWHT_CHUNK``
+    elements.  The stages within a chunk run one row at a time: the small
+    stages h < 16 take the pairs as strided views, one per offset o < h,
+    ``l = a[o::2h]`` and ``r = a[o+h::2h]``; the larger ones take them as
+    the two halves of each block of 2h, a few blocks or a piece of one at a
+    time, so that they fit the scratch.  The stages across chunks pair
+    whole rows, and run on slabs of columns, each slab through all of
+    them.  Every pair is computed by the same two operations whatever the
+    blocking, so the result does not depend on it.  Applying the transform
+    twice multiplies the input by its length.
+
+    With a ``pool`` of s > 1 threads and at least two chunks, the rows and
+    then the 2^ceil(log2 s) column slabs are split across its threads,
+    each task with a scratch of ``_FWHT_CHUNK / 2^ceil(log2 s)`` elements,
+    so the scratch arrays in use at once hold at most ``_FWHT_CHUNK``
+    elements, as the one scratch of a serial run does.  The result is bit
+    for bit the serial one.
     """
     a = np.asarray(values)
     if a.ndim != 1:
         raise ConfigurationError("fwht expects a 1-d array")
     n = a.shape[0]
     _check_pow2(n)
-    chunk = min(n, _FWHT_CHUNK)
-    scratch = np.empty(min(n // 2, _FWHT_CHUNK), dtype=a.dtype)
-    # numpy sets up iterator buffers of its buffer size (8192 elements by
-    # default) per operand for each ufunc call on the 2-d views of the
-    # stages h >= 16, though nothing is cast; 64 elements cut them to a few
-    # hundred bytes and were no slower at 2^16 to 2^23.  Leaving the
-    # errstate context restores the size.
-    with np.errstate():
-        np.setbufsize(64)
-        for lo in range(0, n, chunk):
-            _fwht_stages(a[lo:lo + chunk], 1, chunk, scratch)
-        _fwht_stages(a, chunk, n, scratch)
+    if n < 2 * _FWHT_CHUNK:
+        pool = _SERIAL
+    slabs = 1 << (pool.size - 1).bit_length()
+    pool.run(lambda i: _fwht_rows(a, slabs, pool.size, i), range(pool.size))
+    pool.run(lambda i: _fwht_columns(a, slabs, i), range(slabs))
     return a
 
 
-def _fwht_stages(a: np.ndarray, h: int, stop: int,
-                 scratch: np.ndarray) -> None:
-    """Butterfly stages h, 2h, ... below ``stop`` over all of ``a``."""
-    half = a.shape[0] // 2
-    while h < min(stop, _FWHT_STRIDED):
-        diff = scratch[:half // h]
+def _fwht_scratch(a: np.ndarray, slabs: int) -> tuple:
+    """(chunk, scratch) of one task of the transform of ``a`` cut into
+    ``slabs`` column slabs."""
+    width = min(a.shape[0] // 2, _FWHT_CHUNK // slabs)
+    return (min(a.shape[0], _FWHT_CHUNK, max(2 * width, 1)),
+            np.empty(width, dtype=a.dtype))
+
+
+def _fwht_rows(a: np.ndarray, slabs: int, tasks: int, task: int) -> None:
+    """The stages within a chunk on rows task, task + tasks, ... of ``a``.
+
+    numpy sets up iterator buffers of its buffer size (8192 elements by
+    default) per operand for each ufunc call on the 2-d views of the stages
+    h >= 16, though nothing is cast; 64 elements cut them to a few hundred
+    bytes and were no slower at 2^16 to 2^23.  The buffer size is numpy
+    state of the calling thread; leaving the errstate context restores it.
+    """
+    chunk, scratch = _fwht_scratch(a, slabs)
+    rows = a.reshape(-1, chunk)
+    with np.errstate():
+        np.setbufsize(64)
+        for r in range(task, rows.shape[0], tasks):
+            _fwht_stages(rows[r], scratch)
+
+
+def _fwht_columns(a: np.ndarray, slabs: int, task: int) -> None:
+    """The stages across chunks on column slab ``task`` of ``slabs`` of
+    the rows of ``a``: stage g pairs rows g apart within blocks of 2g
+    rows, as many rows per operation as fit the scratch."""
+    chunk, scratch = _fwht_scratch(a, slabs)
+    width = chunk // slabs
+    slab = a.reshape(-1, chunk)[:, task * width:(task + 1) * width]
+    per = scratch.shape[0] // width
+    g = 1
+    with np.errstate():
+        np.setbufsize(64)
+        while g < slab.shape[0]:
+            pairs = slab.reshape(-1, 2, g, width)
+            for b in range(pairs.shape[0]):
+                for j in range(0, g, per):
+                    _butterfly(pairs[b, 0, j:j + per], pairs[b, 1, j:j + per],
+                               scratch)
+            g *= 2
+
+
+def _butterfly(left: np.ndarray, right: np.ndarray,
+               scratch: np.ndarray) -> None:
+    """(left, right) <- (left + right, left - right), by way of scratch."""
+    diff = scratch[:left.size].reshape(left.shape)
+    np.subtract(left, right, out=diff)
+    left += right
+    right[...] = diff
+
+
+def _fwht_stages(a: np.ndarray, scratch: np.ndarray) -> None:
+    """All butterfly stages of the chunk ``a``."""
+    n = a.shape[0]
+    h = 1
+    while h < min(n, _FWHT_STRIDED):
         for o in range(h):
-            left = a[o::2 * h]
-            right = a[o + h::2 * h]
-            np.subtract(left, right, out=diff)
-            left += right
-            right[...] = diff
+            _butterfly(a[o::2 * h], a[o + h::2 * h], scratch)
         h *= 2
-    while h < stop:
-        # pieces of w elements of each half, as many rows as fit the scratch
+    while h < n:
+        # pieces of w elements of each half, as many blocks as fit the scratch
         w = min(h, scratch.shape[0])
-        rows = scratch.shape[0] // w
+        blocks = scratch.shape[0] // w
         pairs = a.reshape(-1, 2, h // w, w)
-        for r in range(0, pairs.shape[0], rows):
+        for r in range(0, pairs.shape[0], blocks):
             for k in range(h // w):
-                left = pairs[r:r + rows, 0, k]
-                right = pairs[r:r + rows, 1, k]
-                diff = scratch[:left.size].reshape(left.shape)
-                np.subtract(left, right, out=diff)
-                left += right
-                right[...] = diff
+                _butterfly(pairs[r:r + blocks, 0, k],
+                           pairs[r:r + blocks, 1, k], scratch)
         h *= 2
 
 

@@ -30,10 +30,10 @@ is copied into the knots or the values; and :func:`integral` writes
 each refined grid in place, freeing each old array once it is copied.
 In units of one float64 array of the run's final point count, the
 traced peak is about 3.1 for :func:`funappx` (x^2 on [0, 100] at
-``abstol`` 1e-7), 3.1 for :func:`integral` (the bound on its final grid:
-the abscissae, the values and one scratch array; x^4 on [-0.9823,
-2.083] at 1e-7) and 1.1 for :func:`funmin` (sin 5x on [0, 10] at
-1e-9).
+``abstol`` 1e-7), 2.1 for :func:`integral` (the bound on its final grid:
+the values, one scratch array and the coarser grid's abscissae; x^4 on
+[-0.9823, 2.083] at 1e-7) and 1.1 for :func:`funmin` (sin 5x on [0, 10]
+at 1e-9).
 
 All three compute their error estimates from centered second differences
 and the deviation of local slopes from the secant slope; when the sampled
@@ -634,13 +634,17 @@ def integral(p: IntervalProblem):
     tauchange = False
     length = p.b - p.a
 
+    # the abscissae of the grid refined by ``k_xs``: the bound reads only
+    # the values and h, so the grid's own abscissae are built only when
+    # another refinement needs them
     xs = np.linspace(p.a, p.b, ninit)
+    k_xs = 1
     ys = _call_f(p.f, xs, "integral")
     exit_flags = 0
     iters = 1
 
     while True:
-        n = xs.size
+        n = ys.size
         h = length / (n - 1)
         secant = (ys[-1] - ys[0]) / length
         # slope data below the rounding floor is measurement noise, not
@@ -686,20 +690,22 @@ def integral(p: IntervalProblem):
         iters += 1
         k = _refinement(v_hat, w_hat, tau_tilde, length, n - 1, p.abstol,
                         kmax)
-        # the new abscissae, their values, then the nested values and
-        # abscissae, each old array freed once it is copied; the new
-        # abscissae are computed again in place rather than kept
+        # the grid's abscissae, the new abscissae, their values, then the
+        # nested values, each old array freed once it is copied; the new
+        # abscissae are computed again, from xs and k, when they are needed
+        if k_xs > 1:
+            xs = _nested(xs, k_xs)
         fresh = np.empty((n - 1, k - 1))
         _subdivide(xs, k, fresh)
         fresh = _call_f(p.f, fresh.ravel(), "integral")
         ys = _nested(ys, k, fresh)
         del fresh
-        xs = _nested(xs, k)
+        k_xs = k
 
     diag = SolverDiagnostics(
         algorithm="integral",
-        n_evals=xs.size,
-        n_points=xs.size,
+        n_evals=ys.size,
+        n_points=ys.size,
         iterations=iters,
         errest=float(errest) if np.isfinite(errest) else float("inf"),
         exit_flags=exit_flags,

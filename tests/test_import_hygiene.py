@@ -5,7 +5,8 @@ imported on first access.  ``import certint`` and the runs that never need
 ``scipy.special`` (the univariate solvers, the Bernoulli mean and
 uniform-measure QMC cubature) must leave scipy out of ``sys.modules``, so
 a cold start does not pay for it.  The runs that do need it must still
-return the same bits.
+return the same bits.  A cubature too small for the QMC thread pool loads
+no ``concurrent.futures`` and starts no thread.
 """
 
 import importlib
@@ -141,3 +142,33 @@ def test_names_resolve_on_first_access():
     out = json.loads(proc.stdout)
     assert out == {"before": [], "montecarlo": True, "funappx": True,
                    "cached": True}
+
+
+# A cold start, the set-up and a cubature of the size the mixed CLI stream
+# runs (131,072 points at d = 3): no thread pool, no thread.  The measure
+# is uniform, since scipy itself imports concurrent.futures.
+_NO_THREADS = r"""
+import contextlib, io, json, sys, threading
+before = threading.active_count()
+import certint
+import certint.cli as cli
+certint.SobolGenerator(3, rng=certint.RngStream(1))
+certint.LatticeGenerator(3, rng=certint.RngStream(1))
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    rc = cli.run(["cubsobol", "--f", "exp(-x1^2-x2^2-x3^2)", "--dim", "3",
+                  "--box", "0,1;0,1;0,1", "--abstol", "1e-5", "--reltol",
+                  "0", "--seed", "1"])
+print(json.dumps({
+    "rc": rc, "n": "n = 131072," in out.getvalue(),
+    "futures_loaded": "concurrent.futures" in sys.modules,
+    "threads": [before, threading.active_count()],
+}))
+"""
+
+
+def test_small_cubature_starts_no_thread():
+    proc = subprocess.run([sys.executable, "-c", _NO_THREADS], check=True,
+                          capture_output=True, text=True)
+    out = json.loads(proc.stdout)
+    assert out == {"rc": 0, "n": True, "futures_loaded": False,
+                   "threads": [1, 1]}

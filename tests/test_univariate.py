@@ -301,16 +301,18 @@ class TestPeakMemory:
         assert self._traced_peak(funappx, p) < 4.0
 
     def test_integral(self):
-        # 97,889 points in two grids.  The bound on the final grid holds
-        # the abscissae, the values, one scratch array and a mask of it
-        # (1/8): 3.13 measured.  A refinement by k holds at most the old
-        # grid (2/k), the new points' values (1 - 1/k) and the new values
-        # (1), then the new abscissae (1) in their place; keeping the old
-        # abscissae through a doubling made 3.50, and separate slope,
-        # deviation and curvature arrays kept through it 6.50
+        # 97,889 points in two grids, the second a refinement by k = 15.
+        # The bound on the final grid holds the values, one scratch array,
+        # a mask of it (1/8) and the abscissae of the coarse grid (1/k):
+        # 2.13 measured.  A refinement by k holds at most the old grid
+        # (2/k), the new points' values (1 - 1/k) and the new values (1).
+        # Building the final grid's abscissae after each refinement made
+        # 3.13, keeping the old abscissae through a doubling 3.50, and
+        # separate slope, deviation and curvature arrays kept through it
+        # 6.50
         p = IntervalProblem(f=lambda x: x**4, a=-0.9823, b=2.083,
                             abstol=1e-7)
-        assert self._traced_peak(integral, p) < 3.25
+        assert self._traced_peak(integral, p) < 2.5
 
     def test_funmin(self):
         # 53,875 points: 1.13 measured; copies of the candidate rows in
