@@ -67,8 +67,12 @@ def _dump_json(payload, path: str) -> None:
     parts = []
     _encode(payload, "\n", parts)
     parts.append("\n")
-    with open(path, "w") as fh:
-        fh.write("".join(parts))
+    try:
+        with open(path, "w") as fh:
+            fh.write("".join(parts))
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write --json {path}: "
+                                 f"{exc.strerror or exc}") from exc
 
 
 def _encode(obj, newline: str, parts: list) -> None:
@@ -211,10 +215,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _parse_box(text: str, measure: str) -> Hyperbox:
     lows, highs = [], []
     for part in text.split(";"):
-        pieces = part.split(",")
-        if len(pieces) != 2:
-            raise ConfigurationError(f"bad box component {part!r}")
-        lo, hi = (float(x) for x in pieces)
+        try:
+            lo, hi = (float(x) for x in part.split(","))
+        except ValueError:      # not two numbers
+            raise ConfigurationError(f"bad box component {part!r}") from None
         lows.append(lo)
         highs.append(hi)
     meas = Measure.NORMAL if measure == "normal" else Measure.UNIFORM

@@ -1,4 +1,5 @@
-"""Shared domain types: tolerances, budgets, random streams, diagnostics.
+"""Shared domain types: tolerances, budgets, random streams, diagnostics,
+and the contract every user callback is held to.
 
 The generalized tolerance combines an absolute and a relative part either
 by taking the larger of the two (``Max``) or by a theta-weighted linear
@@ -10,6 +11,22 @@ Randomness flows from a single seedable source, :class:`RngStream`: a
 distinct indices give independent sequences.  Solvers that need normal
 variates apply the inverse normal CDF to those uniforms, so one uniform
 source drives all sampling deterministically.
+
+Every solver asks its callback (an integrand ``f(points)``, a univariate
+``f(xs)`` or a sampler ``yrand(n, generator)``) for n values at a time,
+and every one checks the answer by the same two functions.
+:func:`callback_values` flattens what the callback returned with
+``reshape(-1)``, so a 1-d array of n values, an (n, 1) column and, for
+n = 1, a scalar are all accepted, as n float64 values; any other count
+raises :class:`EvaluationError` "<solver>: callback returned k values,
+wanted n".  :func:`chunk_sum` then takes the ``np.sum`` of a chunk of those
+values.  A NaN or an infinity makes that sum non-finite, so the values are
+scanned only when it is, and a non-finite value raises
+:class:`EvaluationError` "<solver>: callback returned NaN or Inf".  Finite
+values whose sum overflows are not an error.  The quasi-Monte Carlo
+cubatures sum each chunk after its factors (the Jacobian, the volume)
+are applied, ``cub_mc`` after the volume, and the univariate solvers sum
+the values of each call as one chunk.
 """
 
 from __future__ import annotations
@@ -20,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, EvaluationError
 
 
 class TolType(enum.Enum):
@@ -86,9 +103,9 @@ def tolfun(spec: ToleranceSpec, mu_abs: float) -> float:
 def fsum_partials(partials) -> float:
     """The correctly rounded sum of the per-chunk sums ``partials``.
 
-    Every estimate is formed so: ``math.fsum`` over the ``np.sum`` of each
-    chunk of values, so its bits depend only on the chunk size and on
-    numpy's sum of one contiguous chunk.  Where ``math.fsum`` raises, on an
+    Every estimate is formed so: ``math.fsum`` over the :func:`chunk_sum`
+    of each chunk of values, so its bits depend only on the chunk size and
+    on numpy's sum of one contiguous chunk.  Where ``math.fsum`` raises, on an
     intermediate overflow or on inf meeting -inf, the plain sum gives the
     inf or nan that the sum overflows to.
     """
@@ -96,6 +113,25 @@ def fsum_partials(partials) -> float:
         return math.fsum(partials)
     except (OverflowError, ValueError):
         return sum(partials)
+
+
+def callback_values(values, n: int, what: str) -> np.ndarray:
+    """What a callback of solver ``what`` returned, as exactly ``n`` float64
+    values (see the module docstring)."""
+    vals = np.asarray(values, dtype=float).reshape(-1)
+    if vals.shape[0] != n:
+        raise EvaluationError(
+            f"{what}: callback returned {vals.shape[0]} values, wanted {n}")
+    return vals
+
+
+def chunk_sum(vals: np.ndarray, what: str) -> float:
+    """``np.sum`` of one chunk of checked callback values, which are scanned
+    for NaN or Inf only when that sum is not finite."""
+    total = float(np.sum(vals))
+    if not math.isfinite(total) and not np.all(np.isfinite(vals)):
+        raise EvaluationError(f"{what}: callback returned NaN or Inf")
+    return total
 
 
 @dataclass(frozen=True)
@@ -120,14 +156,20 @@ class Budget:
 class RngStream:
     """Deterministic, splittable uniform source.
 
-    Identical (seed, stream_index) pairs reproduce the same unbounded
-    sequence of doubles in [0, 1); distinct indices give independent
-    streams.  Instances are immutable; consumers create a stateful
-    generator with :meth:`generator` and advance that.
+    Identical (seed, stream_index) pairs of non-negative integers
+    reproduce the same unbounded sequence of doubles in [0, 1); distinct
+    indices give independent streams.  Instances are immutable; consumers
+    create a stateful generator with :meth:`generator` and advance that.
     """
 
     seed: int = 0
     stream_index: int = 0
+
+    def __post_init__(self):
+        for name in ("seed", "stream_index"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(
+                    f"{name} must be >= 0, got {getattr(self, name)}")
 
     def generator(self) -> np.random.Generator:
         """Fresh numpy generator positioned at the start of this stream."""

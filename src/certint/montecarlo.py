@@ -60,9 +60,10 @@ Hoeffding's inequality, and :func:`cub_mc` reduces hyperbox cubature
 (uniform or Gaussian measure) to a mean estimation problem through
 :func:`measure_map`, the box map the quasi-Monte Carlo cubatures share.
 
-Sampler callbacks take ``(n, generator)`` and must return ``n`` values;
-all randomness flows from the :class:`~certint.core.RngStream` handed to
-the solver, so fixed seeds reproduce runs bit for bit.
+Sampler callbacks take ``(n, generator)`` and are held to the callback
+contract of :mod:`certint.core`; all randomness flows from the
+:class:`~certint.core.RngStream` handed to the solver, so fixed seeds
+reproduce runs bit for bit.
 
 ``scipy.special`` is imported inside the functions that call it, so
 ``import certint`` and every run that neither sizes a mean stage nor
@@ -80,7 +81,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (RngStream, SolverDiagnostics, ToleranceSpec,
-                   fsum_partials, tolfun)
+                   callback_values, chunk_sum, fsum_partials, tolfun)
 from .errors import ConfigurationError, EvaluationError
 
 __all__ = [
@@ -115,8 +116,8 @@ class McParams:
     its steps from the variance stage; ``n1`` is only the fallback first
     step when that plans no positive tolerance (a pure relative tolerance
     around a mean of exactly 0).  ``nbudget`` caps the draws of a run,
-    both stages included, and ``tbudget_seconds`` its wall time, as
-    GAIL's ``meanMC_g`` names them.
+    both stages included, so it is at least ``n_sig``, and
+    ``tbudget_seconds`` its wall time, as GAIL's ``meanMC_g`` names them.
     """
 
     tol: ToleranceSpec = field(default_factory=ToleranceSpec)
@@ -137,6 +138,10 @@ class McParams:
         if self.nbudget <= 0 or not (self.tbudget_seconds > 0):
             raise ConfigurationError(
                 "nbudget and tbudget_seconds must be positive")
+        if self.nbudget < self.n_sig:
+            raise ConfigurationError(
+                f"nbudget {self.nbudget} cannot pay for the variance stage "
+                f"of n_sig = {self.n_sig} draws")
 
 
 @dataclass(frozen=True)
@@ -286,14 +291,13 @@ def _draw_mean(yrand, n: int, gen, what: str, variance: bool = False,
     None).
 
     The draws come in chunks of ``_CHUNK``, and the mean is ``math.fsum``
-    of the chunks' ``np.sum``, divided by n: correctly rounded from sums of
-    at most ``_CHUNK`` draws each.  A NaN or Inf draw makes its chunk's sum
-    non-finite, so only then is the chunk scanned; with ``binary`` each
-    chunk is checked for {0,1} values.  The variance centres each chunk on
-    its own mean in a scratch buffer, never in the sampler's array, and
-    merges the chunks' sums of squared deviations by the pairwise update of
-    Chan, Golub & LeVeque (1983), so it does not cancel under a large
-    offset.  Data that really is constant gives a zero variance whenever
+    of the chunks' :func:`~certint.core.chunk_sum`, divided by n: correctly
+    rounded from sums of at most ``_CHUNK`` draws each.  With ``binary``
+    each chunk is checked for {0,1} values.  The variance centres each
+    chunk on its own mean in a scratch buffer, never in the sampler's
+    array, and merges the chunks' sums of squared deviations by the
+    pairwise update of Chan, Golub & LeVeque (1983), so it does not cancel
+    under a large offset.  Data that really is constant gives a zero variance whenever
     its chunk sums are exact (every deviation is then 0.0, as for 2.5 or
     1e8); otherwise its variance is at the rounding level of the chunk
     mean.
@@ -304,24 +308,19 @@ def _draw_mean(yrand, n: int, gen, what: str, variance: bool = False,
     done = 0
     while done < n:
         take = min(n - done, _CHUNK)
-        y = np.asarray(yrand(take, gen), dtype=float)
-        if y.shape != (take,):
-            raise EvaluationError(f"{what}: sampler returned shape {y.shape}, "
-                                  f"wanted ({take},)")
-        chunk_sum = float(np.sum(y))
-        if not math.isfinite(chunk_sum) and not np.all(np.isfinite(y)):
-            raise EvaluationError(f"{what}: sampler returned NaN or Inf")
+        y = callback_values(yrand(take, gen), take, what)
+        total = chunk_sum(y, what)
         if binary and not np.all((y == 0.0) | (y == 1.0)):
             raise EvaluationError(f"{what}: Bernoulli sampler must return 0/1 values")
         if variance:
-            chunk_mean = chunk_sum / take
+            chunk_mean = total / take
             dev = np.subtract(y, chunk_mean, out=scratch[:take])
             chunk_m2 = float(np.dot(dev, dev))
             if done:
                 delta = chunk_mean - fsum_partials(sums) / done
                 chunk_m2 += delta * delta * (done * take / (done + take))
             m2 += chunk_m2
-        sums.append(chunk_sum)
+        sums.append(total)
         done += take
     var = (m2 / (n - 1) if n > 1 else 0.0) if variance else None
     return fsum_partials(sums) / n, var
@@ -509,7 +508,7 @@ def cub_mc(f, box: Hyperbox, params: McParams, rng: RngStream):
 
     def yrand(n, gen):
         pts, scale = measure_map(gen.random((n, d)), box)
-        return scale * _eval_integrand(f, pts, "cub_mc")
+        return scale * callback_values(f(pts), n, "cub_mc")
 
     q, diag = mean_mc(yrand, params, rng)
     diag.algorithm = "cub_mc"
@@ -519,12 +518,3 @@ def cub_mc(f, box: Hyperbox, params: McParams, rng: RngStream):
         "volume": volume,
     })
     return q, diag
-
-
-def _eval_integrand(f, pts: np.ndarray, what: str) -> np.ndarray:
-    # a NaN or Inf value is caught by the chunk sums of ``_draw_mean``
-    vals = np.asarray(f(pts), dtype=float).reshape(-1)
-    if vals.shape[0] != pts.shape[0]:
-        raise EvaluationError(f"{what}: integrand returned {vals.shape[0]} values "
-                              f"for {pts.shape[0]} points")
-    return vals

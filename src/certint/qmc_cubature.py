@@ -82,15 +82,15 @@ one CPU, or a run whose blocks are all too small, starts no thread.
 from __future__ import annotations
 
 import contextlib
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .core import RngStream, ToleranceSpec, fsum_partials, tolfun
-from .errors import ConfigurationError, EvaluationError
+from .core import (RngStream, ToleranceSpec, callback_values, chunk_sum,
+                   fsum_partials, tolfun)
+from .errors import ConfigurationError
 # the engine looks measure_map up by this module's name
 from .montecarlo import Hyperbox, measure_map
 from .qmc_points import (
@@ -292,12 +292,11 @@ def _adaptive_cubature(points, f, params: QmcParams, backend, what: str,
         arrays are freed before the next chunk's points are built, or, on a
         ``block_pool`` of several threads, once ``f`` has its values: then
         the pool's threads prepare the next chunks while ``f`` runs, here,
-        on each chunk in ascending order.  The value count is checked
-        before the values are multiplied by the mapping's factors (in the
-        order given), so a scalar is never broadcast to a chunk; a scalar
-        factor of 1.0 is skipped, since it changes no bit.  A NaN or Inf
-        value makes the chunk's sum non-finite, so only then are the values
-        scanned.
+        on each chunk in ascending order.  The values are checked by the
+        callback contract of :mod:`certint.core`: their count before they
+        are multiplied by the mapping's factors (in the order given), so a
+        scalar is never broadcast to a chunk, and their sum after; a scalar
+        factor of 1.0 is skipped, since it changes no bit.
         """
         def prepare(lo: int) -> tuple:
             hi = min(lo + _EVAL_CHUNK, out.size)
@@ -308,19 +307,11 @@ def _adaptive_cubature(points, f, params: QmcParams, backend, what: str,
                                   block_pool.size)
         with contextlib.closing(chunks):
             for lo, hi, pts, factors in chunks:
-                vals = np.asarray(f(pts), dtype=float).reshape(-1)
-                if vals.shape[0] != pts.shape[0]:
-                    raise EvaluationError(
-                        f"{what}: integrand returned {vals.shape[0]} values "
-                        f"for {pts.shape[0]} points")
+                vals = callback_values(f(pts), hi - lo, what)
                 for factor in factors:
                     if not (np.ndim(factor) == 0 and factor == 1.0):
                         vals = vals * factor
-                total = float(np.sum(vals))
-                if not math.isfinite(total) and not np.all(np.isfinite(vals)):
-                    raise EvaluationError(
-                        f"{what}: integrand returned NaN or Inf")
-                partials.append(total)
+                partials.append(chunk_sum(vals, what))
                 out[lo:hi] = vals
                 del pts, factors, vals
 

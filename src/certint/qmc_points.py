@@ -347,8 +347,9 @@ class _Pool:
 
     def ahead(self, fn, items, depth: int):
         """``fn(item)`` for each item, in order, each call submitted
-        ``depth`` items before its result is taken.  A generator: closing it
-        cancels the calls not yet started and waits for the others."""
+        ``depth`` items before its result is taken.  A generator: closing
+        it, or an error from a call, which it raises, cancels the calls not
+        yet started and waits for the others, so none is left running."""
         if self.size < 2:
             yield from map(fn, items)
             return
@@ -368,26 +369,9 @@ class _Pool:
                     fut.exception()     # waits; the error in flight wins
 
     def run(self, fn, tasks) -> list:
-        """``fn(task)`` for every task on the threads, in any order; the
-        results in task order, once every call has ended.  Every future
-        is waited for and read before the first error among them is
-        raised, so that no task is left running; at the first error the
-        ones not yet started are cancelled."""
-        if self.size < 2:
-            return [fn(task) for task in tasks]
-        futures = [self.submit(fn, task) for task in tasks]
-        results, error = [], None
-        for fut in futures:
-            try:
-                results.append(fut.result())
-            except BaseException as exc:    # re-raised once all have ended
-                if error is None:
-                    error = exc
-                    for rest in futures:
-                        rest.cancel()
-        if error is not None:
-            raise error
-        return results
+        """``fn(task)`` for every task, all submitted at once; the results
+        in task order, or the first error in task order."""
+        return list(self.ahead(fn, tasks, len(tasks)))
 
     def close(self) -> None:
         if self._executor is not None:

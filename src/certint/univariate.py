@@ -54,8 +54,9 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Budget, SolverDiagnostics, fsum_partials
-from .errors import ConfigurationError, EvaluationError
+from .core import (Budget, SolverDiagnostics, callback_values, chunk_sum,
+                   fsum_partials)
+from .errors import ConfigurationError
 
 __all__ = [
     "IntervalProblem",
@@ -78,11 +79,12 @@ _SUM_CHUNK = 1 << 15
 class IntervalProblem:
     """A univariate problem: batched callback ``f`` on [a, b] with budgets.
 
-    ``f`` must accept a 1-d ndarray of abscissae and return an
-    equal-length ndarray of values; it is assumed pure.  The solvers call
-    it once per round, with all of that round's new abscissae in
-    ascending order: the new midpoints for :func:`funappx` and
-    :func:`funmin`, the points that refine the grid for :func:`integral`.
+    ``f`` must accept a 1-d ndarray of abscissae and return one value for
+    each, as the callback contract of :mod:`certint.core` reads them; it
+    is assumed pure.  The solvers call it once per round, with all of that
+    round's new abscissae in ascending order: the new midpoints for
+    :func:`funappx` and :func:`funmin`, the points that refine the grid
+    for :func:`integral`.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -149,13 +151,10 @@ def ninit_rule(nlo: int, nhi: int, a: float, b: float) -> int:
 
 
 def _call_f(f, xs: np.ndarray, what: str) -> np.ndarray:
-    ys = np.asarray(f(xs), dtype=float)
-    if ys.shape != xs.shape:
-        raise EvaluationError(
-            f"{what}: callback returned shape {ys.shape} for input {xs.shape}"
-        )
-    if not np.all(np.isfinite(ys)):
-        raise EvaluationError(f"{what}: callback returned NaN or Inf")
+    """``f`` at the 1-d abscissae ``xs``, checked as one chunk by the
+    callback contract of :mod:`certint.core`."""
+    ys = callback_values(f(xs), xs.size, what)
+    chunk_sum(ys, what)
     return ys
 
 
@@ -625,8 +624,8 @@ def integral(p: IntervalProblem):
     in the same round, both bits are set (value 3).  The grid is one
     subinterval, so ``extra.nstar`` is a one-entry list, as ``funappx``
     reports one entry per subinterval.  The sum of the values in ``q`` is
-    ``math.fsum`` of the ``np.sum`` of each slice of ``_SUM_CHUNK``
-    values.
+    ``math.fsum`` of the :func:`~certint.core.chunk_sum` of each slice of
+    ``_SUM_CHUNK`` values.
     """
     t_start = time.perf_counter()
     ninit = ninit_rule(p.nlo, p.nhi, p.a, p.b)
@@ -674,7 +673,7 @@ def integral(p: IntervalProblem):
 
         tau_tilde = nstar / (2.0 * length)
         errest = _trapezoid_errest(v_hat, w_hat, tau_tilde, h)
-        total = fsum_partials([float(np.sum(ys[lo:lo + _SUM_CHUNK]))
+        total = fsum_partials([chunk_sum(ys[lo:lo + _SUM_CHUNK], "integral")
                                for lo in range(0, n, _SUM_CHUNK)])
         q = h * (total - 0.5 * (ys[0] + ys[-1]))
 

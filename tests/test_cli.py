@@ -127,6 +127,35 @@ class TestErrors:
     def test_infinite_box_needs_normal(self):
         assert run(["cublattice", "--f", "x1", "--box=-inf,inf"]) == 1
 
+    @pytest.mark.parametrize("box", ["a,1", "0,1;0,b", "0,1,2", "0"])
+    def test_malformed_box(self, capsys, box):
+        assert run(["cubmc", "--f", "x", "--box", box]) == 1
+        assert "bad box component" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["meanmc", "--f", "x"],
+        ["meanmcber", "--p", "0.5"],
+        ["cubmc", "--f", "x", "--box", "0,1"],
+        ["cublattice", "--f", "x", "--box", "0,1"],
+        ["cubsobol", "--f", "x", "--box", "0,1"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed(self, capsys, argv):
+        assert run(argv + ["--seed", "-1"]) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["meanmc", "--f", "x"],
+                                      ["cubmc", "--f", "x", "--box", "0,1"]],
+                             ids=lambda argv: argv[0])
+    def test_budget_below_the_variance_stage(self, capsys, argv):
+        assert run(argv + ["--nbudget", "10"]) == 1
+        assert "variance stage" in capsys.readouterr().err
+
+    def test_unwritable_json_path(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "r.json"
+        assert run(["integral", "--f", "x", "--json", str(path)]) == 1
+        assert "cannot write --json" in capsys.readouterr().err
+        assert not path.exists()
+
     @pytest.mark.parametrize("expr", ["(" * 300 + "x" + ")" * 300,
                                       "-" * 1000 + "x",
                                       "+".join(["x"] * 1000)],

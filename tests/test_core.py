@@ -97,6 +97,13 @@ class TestStreams:
         rho = np.corrcoef(a, b)[0, 1]
         assert abs(rho) < 0.02
 
+    @pytest.mark.parametrize("pair", [(-1, 0), (0, -1), (-5, -5)])
+    def test_negative_seed_or_index_rejected(self, pair):
+        # numpy would reject them only later, in generator()
+        with pytest.raises(ConfigurationError, match="must be >= 0"):
+            RngStream(*pair)
+        RngStream(0, 0).generator()
+
 
 class TestDiagnostics:
     def test_json_dict_excludes_time(self):

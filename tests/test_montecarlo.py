@@ -521,6 +521,14 @@ class TestMeanMc:
             with pytest.raises(ConfigurationError):
                 McParams(**bad)
 
+    def test_budget_covers_the_variance_stage(self):
+        # the cap counts both stages, so it must pay for the first
+        with pytest.raises(ConfigurationError, match="variance stage"):
+            McParams(nbudget=9_999)
+        with pytest.raises(ConfigurationError, match="variance stage"):
+            McParams(n_sig=100, nbudget=99)
+        assert McParams(n_sig=100, nbudget=100).nbudget == 100
+
 
 class TestHyperbox:
     def test_codes(self):
