@@ -364,7 +364,9 @@ def mean_mc(yrand, params: McParams, rng: RngStream):
 
     ``yrand(n, generator)`` must return n IID draws.  Returns
     ``(hmu, diagnostics)``: ``hmu`` is the sample mean of the last
-    mean-stage step, and ``extra`` carries the iteration history (``tau``
+    mean-stage step, or the variance stage's mean ``m0`` when the budget
+    runs out before any mean-stage draw (then ``iterations`` is 0, exit
+    flag 1 and ``errest`` inf), and ``extra`` carries the iteration history (``tau``
     steps of sizes ``n`` with means ``hmu`` and half-widths ``tol``) plus
     ``var``, ``kurtmax``, ``nremain``, ``ntot`` and ``n_up``.
 
@@ -381,6 +383,12 @@ def mean_mc(yrand, params: McParams, rng: RngStream):
     means ``params.nbudget`` or ``params.tbudget_seconds`` ran out before
     the tolerance was certified.
     """
+    return _mean_mc(yrand, params, rng, "mean_mc")
+
+
+def _mean_mc(yrand, params: McParams, rng: RngStream, what: str):
+    """:func:`mean_mc` run for the solver named ``what``, which names it
+    in the diagnostics and in every error."""
     t_start = time.perf_counter()
     gen = rng.generator()
     spec = params.tol
@@ -389,11 +397,10 @@ def mean_mc(yrand, params: McParams, rng: RngStream):
     # the draw rate that sizes the time budget's steps counts only the
     # seconds spent drawing, not set-up such as a first import of scipy
     t_draw = time.perf_counter()
-    m0, var_hat = _draw_mean(yrand, params.n_sig, gen, "mean_mc",
-                             variance=True)
+    m0, var_hat = _draw_mean(yrand, params.n_sig, gen, what, variance=True)
     drawing = time.perf_counter() - t_draw
     if not math.isfinite(var_hat):
-        raise EvaluationError("mean_mc: the variance of the draws overflows")
+        raise EvaluationError(f"{what}: the variance of the draws overflows")
     sigtilde = fudge * math.sqrt(var_hat)
     alpha_sigma = alpha_mu = 1.0 - math.sqrt(1.0 - params.alpha)
     kurtmax = kurtosis_bound(params.n_sig, alpha_sigma, fudge)
@@ -418,7 +425,7 @@ def mean_mc(yrand, params: McParams, rng: RngStream):
     ntot = params.n_sig
     n_hist, hmu_hist, tol_hist = [], [], []
     exit_flags = 0
-    hmu = 0.0
+    hmu = m0
     width = math.inf
 
     for t in range(1, _MAX_ITER + 1):
@@ -439,7 +446,7 @@ def mean_mc(yrand, params: McParams, rng: RngStream):
                 exit_flags |= 1
                 break
         t_draw = time.perf_counter()
-        hmu, _ = _draw_mean(yrand, n_t, gen, "mean_mc")
+        hmu, _ = _draw_mean(yrand, n_t, gen, what)
         drawing += time.perf_counter() - t_draw
         ntot += n_t
         width = _half_width(n_t, alpha_t, sigtilde, kurtmax)
@@ -462,7 +469,7 @@ def mean_mc(yrand, params: McParams, rng: RngStream):
         exit_flags |= 1
 
     diag = SolverDiagnostics(
-        algorithm="mean_mc",
+        algorithm=what,
         n_evals=ntot,
         n_points=ntot,
         iterations=len(n_hist),
@@ -510,8 +517,7 @@ def cub_mc(f, box: Hyperbox, params: McParams, rng: RngStream):
         pts, scale = measure_map(gen.random((n, d)), box)
         return scale * callback_values(f(pts), n, "cub_mc")
 
-    q, diag = mean_mc(yrand, params, rng)
-    diag.algorithm = "cub_mc"
+    q, diag = _mean_mc(yrand, params, rng, "cub_mc")
     diag.extra.update({
         "d": d,
         "measure": box.measure.value,

@@ -131,7 +131,8 @@ def test_wrong_count_names_the_solver(name, run, base):
 @pytest.mark.parametrize("name, run, base", SOLVERS)
 def test_nan_in_a_later_chunk(name, run, base):
     f = _Callback(base, "nan", call=2)
-    with pytest.raises(EvaluationError, match="callback returned NaN or Inf"):
+    with pytest.raises(EvaluationError,
+                       match=f"^{name}: callback returned NaN or Inf$"):
         run(f)
     assert f.calls == 2
 

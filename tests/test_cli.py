@@ -1,11 +1,15 @@
 """Command-line front end: flags, exit codes, JSON reports."""
 
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from certint import (McParams, QmcParams, RngStream, ToleranceSpec,
@@ -266,6 +270,11 @@ class TestDumpJson:
         {"keys": {2: [1.0], 1: "x"}, "tuple": (0.5, 3)},
         {"big": [10**400, -1], "text": ["\u00e9 \"q\"\n", "\t"], "one": 10**400},
         [], {}, 0.1, "text", None,
+        # where orjson's exponent layout differs from repr's, and zero
+        [1e-05, 9.999999999999999e-05, 0.0001, 9999999999999998.0, 1e16,
+         5e-324, -0.0, 0.0, -1.5e-07, 1e300],
+        {"int64": [2**63 - 1, -2**63, 2**64 - 1], "over": [2**64, 1.5]},
+        {"mixed": [1, 2.5, -3, 1e-07, 10**17, -1e+16], "t": (1e-05, 2)},
     ])
     def test_matches_indented_dumps(self, tmp_path, payload):
         path = tmp_path / "out.json"
@@ -285,6 +294,22 @@ class TestDumpJson:
         assert "Infinity" not in path.read_text()
         assert _strict_loads(path.read_text()) == json.loads(
             json.dumps(_nulled(payload)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(allow_nan=False,
+                                        allow_infinity=False),
+                              st.integers()), max_size=40))
+    def test_number_list_matches_dumps(self, items):
+        fd, path = tempfile.mkstemp(suffix=".json")
+        os.close(fd)
+        try:
+            _dump_json({"v": items}, path)
+            with open(path) as fh:
+                text = fh.read()
+        finally:
+            os.remove(path)
+        assert text == json.dumps({"v": items}, sort_keys=True,
+                                  indent=2) + "\n"
 
     def test_grid_report(self, tmp_path):
         path = tmp_path / "grid.json"

@@ -484,6 +484,21 @@ class TestMeanMc:
         assert diag.exit_flags & 1
         assert diag.extra["ntot"] <= 50_000
 
+    def test_budget_spent_by_the_variance_stage(self):
+        # no mean-stage draw fits: the estimate is the variance stage's
+        # mean of n_sig draws, uncertified
+        params = McParams(nbudget=10_000)
+        tmu, diag = mean_mc(lambda n, g: g.random(n) + 5, params,
+                            RngStream(1))
+        draws = RngStream(1).generator().random(params.n_sig) + 5
+        assert tmu == pytest.approx(math.fsum(draws) / params.n_sig,
+                                    rel=1e-15)
+        assert abs(tmu - 5.5) < 0.02
+        assert diag.exit_flags == 1
+        assert diag.errest == math.inf
+        assert diag.iterations == 0
+        assert diag.n_evals == 10_000
+
     def test_time_budget_counts_only_drawing(self, monkeypatch):
         # a slow first planning call, as a cold import of scipy.special
         # makes it, must not shrink the steps that the time budget allows
