@@ -366,9 +366,10 @@ def mean_mc(yrand, params: McParams, rng: RngStream):
     ``(hmu, diagnostics)``: ``hmu`` is the sample mean of the last
     mean-stage step, or the variance stage's mean ``m0`` when the budget
     runs out before any mean-stage draw (then ``iterations`` is 0, exit
-    flag 1 and ``errest`` inf), and ``extra`` carries the iteration history (``tau``
-    steps of sizes ``n`` with means ``hmu`` and half-widths ``tol``) plus
-    ``var``, ``kurtmax``, ``nremain``, ``ntot`` and ``n_up``.
+    flag 1 and ``errest`` inf), and ``extra`` carries the iteration
+    history (``tau`` steps of sizes ``n`` with means ``hmu`` and
+    half-widths ``tol``) plus ``var``, ``kurtmax``, ``nremain``, ``ntot``
+    and ``n_up``.
 
     The mean stage is one floor step of ``n_floor`` draws at all of
     ``alpha_mu`` when that is no more than the first relative step

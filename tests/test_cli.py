@@ -1,10 +1,8 @@
 """Command-line front end: flags, exit codes, JSON reports."""
 
 import json
-import os
 import subprocess
 import sys
-import tempfile
 
 import numpy as np
 import pytest
@@ -299,17 +297,11 @@ class TestDumpJson:
     @given(st.lists(st.one_of(st.floats(allow_nan=False,
                                         allow_infinity=False),
                               st.integers()), max_size=40))
-    def test_number_list_matches_dumps(self, items):
-        fd, path = tempfile.mkstemp(suffix=".json")
-        os.close(fd)
-        try:
-            _dump_json({"v": items}, path)
-            with open(path) as fh:
-                text = fh.read()
-        finally:
-            os.remove(path)
-        assert text == json.dumps({"v": items}, sort_keys=True,
-                                  indent=2) + "\n"
+    def test_number_list_matches_dumps(self, tmp_path_factory, items):
+        path = tmp_path_factory.getbasetemp() / "numbers.json"
+        _dump_json({"v": items}, str(path))
+        assert path.read_text() == json.dumps({"v": items}, sort_keys=True,
+                                              indent=2) + "\n"
 
     def test_grid_report(self, tmp_path):
         path = tmp_path / "grid.json"
