@@ -58,6 +58,109 @@ class TestParse:
             parse("(x", 1)
 
 
+_NUM = "Num(value={})".format
+_X = "Var(index=1)"
+# A position of None matches any position: where a parser that recurses
+# until Python's recursion limit stops depends on its caller's stack.
+_DEEP = (None, "expression nested too deeply")
+
+# (text, dim, the tree's repr or the ParseError's (position, message))
+_PARSE_TABLE = [
+    # names, constants, numbers and their exponents
+    ("x1 + x2", 2, "Binary(op='+', left=Var(index=1), right=Var(index=2))"),
+    ("_", 1, (0, "unknown identifier '_'")),
+    ("x_1", 1, (0, "unknown identifier 'x_1'")),
+    ("x1e2", 1, (0, "unknown identifier 'x1e2'")),
+    ("pi", 1, _NUM(math.pi)),
+    ("e", 1, _NUM(math.e)),
+    ("1.5e3", 1, _NUM(1500.0)),
+    ("2E-2", 1, _NUM(0.02)),
+    (".5", 1, _NUM(0.5)),
+    ("3.", 1, _NUM(3.0)),
+    ("1e+", 1, (1, "unexpected token 'e'")),
+    ("1e5.5", 1, (3, "unexpected token 0.5")),
+    # both spellings of each operator alias
+    ("x^2", 1, f"Binary(op='^', left={_X}, right={_NUM(2.0)})"),
+    ("x.^2", 1, f"Binary(op='^', left={_X}, right={_NUM(2.0)})"),
+    ("x*2", 1, f"Binary(op='*', left={_X}, right={_NUM(2.0)})"),
+    ("x.*2", 1, f"Binary(op='*', left={_X}, right={_NUM(2.0)})"),
+    ("x/2", 1, f"Binary(op='/', left={_X}, right={_NUM(2.0)})"),
+    ("x./2", 1, f"Binary(op='/', left={_X}, right={_NUM(2.0)})"),
+    ("1.^2", 1, f"Binary(op='^', left={_NUM(1.0)}, right={_NUM(2.0)})"),
+    ("x.^.5", 1, f"Binary(op='^', left={_X}, right={_NUM(0.5)})"),
+    # precedence and associativity
+    ("1-2-3", 1, f"Binary(op='-', left=Binary(op='-', left={_NUM(1.0)}, "
+                 f"right={_NUM(2.0)}), right={_NUM(3.0)})"),
+    ("8/4*2", 1, f"Binary(op='*', left=Binary(op='/', left={_NUM(8.0)}, "
+                 f"right={_NUM(4.0)}), right={_NUM(2.0)})"),
+    ("1+2*3-4/5", 1,
+     f"Binary(op='-', left=Binary(op='+', left={_NUM(1.0)}, "
+     f"right=Binary(op='*', left={_NUM(2.0)}, right={_NUM(3.0)})), "
+     f"right=Binary(op='/', left={_NUM(4.0)}, right={_NUM(5.0)}))"),
+    ("2^3^2", 1, f"Binary(op='^', left={_NUM(2.0)}, right=Binary(op='^', "
+                 f"left={_NUM(3.0)}, right={_NUM(2.0)}))"),
+    ("2^-x^2", 1, f"Binary(op='^', left={_NUM(2.0)}, right=Unary(op='-', "
+                  f"operand=Binary(op='^', left={_X}, right={_NUM(2.0)})))"),
+    ("--x", 1, f"Unary(op='-', operand=Unary(op='-', operand={_X}))"),
+    ("-(x+1)*-2", 1, f"Binary(op='*', left=Unary(op='-', operand=Binary("
+                     f"op='+', left={_X}, right={_NUM(1.0)})), "
+                     f"right=Unary(op='-', operand={_NUM(2.0)}))"),
+    # calls
+    ("max(x1, min(x2, 0))", 2,
+     "Call(name='max', args=(Var(index=1), Call(name='min', "
+     f"args=(Var(index=2), {_NUM(0.0)}))))"),
+    ("prod(x)", 3, "Call(name='prod', args=())"),
+    # tab, no-break space and newline are whitespace; Unicode decimal
+    # digits are digits
+    ("sin(x)\t+\u00a0cos(x)\n", 1,
+     f"Binary(op='+', left=Call(name='sin', args=({_X},)), "
+     f"right=Call(name='cos', args=({_X},)))"),
+    ("٣*x", 1, f"Binary(op='*', left={_NUM(3.0)}, right={_X})"),
+    ("١٢.5", 1, _NUM(12.5)),
+    ("(" * 100 + "x" + ")" * 100, 1, _X),
+    # every error
+    ("1.2.3", 1, (0, "bad number '1.2.3'")),
+    ("x..^2", 1, (1, "bad number '..'")),
+    ("x $ 2", 1, (2, "unexpected character '$'")),
+    ("x 2", 1, (2, "unexpected token 2.0")),
+    ("x)", 1, (1, "unexpected token ')'")),
+    ("x ** 2", 1, (3, "expected a value, got '*'")),
+    ("   ", 1, (3, "expected a value, got 'end'")),
+    ("max(x,)", 1, (6, "expected a value, got ')'")),
+    ("((x)", 1, (4, "expected ')'")),
+    ("max(x 2)", 1, (6, "expected ',' or ')'")),
+    ("y", 1, (0, "unknown identifier 'y'")),
+    ("sin", 1, (0, "unknown identifier 'sin'")),
+    ("foo(x)", 1, (0, "unknown function 'foo'")),
+    ("x3", 2, (0, "variable x3 out of range for dimension 2")),
+    ("x0", 1, (0, "variable x0 out of range for dimension 1")),
+    ("sin(x, x)", 1, (0, "sin takes 1 argument, got 2")),
+    ("max(x)", 1, (0, "max takes 2 arguments, got 1")),
+    ("prod(x2)", 2, (0, "prod takes the bare coordinate vector: prod(x)")),
+    ("(" * 1000 + "x" + ")" * 1000, 1, _DEEP),
+    ("sin(" * 1000 + "x" + ")" * 1000, 1, _DEEP),
+    ("-" * 1000 + "x", 1, _DEEP),
+]
+
+
+def _outcome(text, dim):
+    try:
+        return repr(parse(text, dim))
+    except ParseError as err:
+        prefix = f"at position {err.pos}: "
+        assert str(err).startswith(prefix)
+        return err.pos, str(err)[len(prefix):]
+
+
+class TestParseTable:
+    @pytest.mark.parametrize("text, dim, want", _PARSE_TABLE)
+    def test_tree_or_error(self, text, dim, want):
+        got = _outcome(text, dim)
+        if isinstance(want, tuple) and want[0] is None:
+            got = (None, got[1]) if isinstance(got, tuple) else got
+        assert got == want
+
+
 class TestEval:
     def test_literal_broadcast(self):
         out = eval_batch(parse("7", 1), np.zeros((5, 1)))
