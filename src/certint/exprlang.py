@@ -16,15 +16,32 @@ abs, normcdf, two-argument max/min, and prod (product of all
 coordinates).  ``^`` with a non-integer exponent on a negative base
 yields NaN (real-valued semantics).
 
+One compiled regular expression splits the text into tokens.  Its
+alternatives are tried in order at each position: whitespace, a MATLAB
+alias or a one-character operator, a number (digits and dots, then an
+exponent only when a digit follows its optional sign), a name (a word
+character other than a digit, then word characters), and any other
+character, which is an error.  Whitespace, digits and word characters are
+``re``'s Unicode ``\\s``, ``\\d`` and ``\\w``.  One precedence-climbing
+loop parses the binary operators ``+ - * /`` by their binding power;
+``unary`` takes the prefix ``-`` and the right associative ``^``.
+
 Parsing reports position-annotated errors; evaluation is pure and
-vectorized over an (n, d) point block.  An expression nested past
-Python's recursion limit is a ``ParseError``, or an ``EvaluationError``
-when only its evaluation goes that deep (a long chain of ``+``).
+vectorized over an (n, d) point block.  An expression may open at most
+200 levels of parentheses, of groups and calls together; one more is the
+``ParseError`` "expression nested too deeply".  The parser spends three
+stack frames per level of groups and four per level of calls, so 200
+levels parse under Python's default recursion limit when ``parse`` is
+called less than some 380 (groups) or 180 (calls) frames deep.  Nesting
+past the recursion limit (a chain of a thousand ``-``) is the same
+``ParseError``, or an ``EvaluationError`` when only its evaluation goes
+that deep (a long chain of ``+``).
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Tuple, Union
 
@@ -96,137 +113,105 @@ _FUNCS_2 = {"max": np.maximum, "min": np.minimum}
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
 
-class _Tokenizer:
-    _TWO_CHAR = {".^": "^", ".*": "*", "./": "/"}
+# the alternatives are tried in this order at each position
+_TOKEN = re.compile(r"""
+    (?P<space>\s+)
+  | (?P<op>\.[*/^]|[-+*/^(),])
+  | (?P<num>[\d.]+(?:[eE][+-]?\d+)?)
+  | (?P<name>[^\W\d]\w*)
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens = []
-        self._scan()
+# binding power of the binary operators; '^' binds tighter, in ``unary``
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+# parenthesis levels, of groups and calls, that one expression may open
+_MAX_DEPTH = 200
+
+
+def _tokens(text: str) -> list:
+    """``(kind, value, position)`` triples.  An operator is its own kind and
+    value (an alias that of its last character); then ``("num", float)``,
+    ``("name", str)`` and, last, ``("end", "end")``."""
+    tokens = []
+    for match in _TOKEN.finditer(text):
+        kind, value, pos = match.lastgroup, match.group(), match.start()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", pos)
+        if kind == "num":
+            try:
+                value = float(value)
+            except ValueError:
+                raise ParseError(f"bad number {value!r}", pos) from None
+        if kind == "op":
+            kind = value = value[-1]
+        if kind != "space":
+            tokens.append((kind, value, pos))
+    tokens.append(("end", "end", len(text)))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str, dim: int):
+        self.tokens = _tokens(text)
         self.i = 0
-
-    def _scan(self):
-        text = self.text
-        n = len(text)
-        pos = 0
-        while pos < n:
-            ch = text[pos]
-            if ch.isspace():
-                pos += 1
-                continue
-            if text[pos:pos + 2] in self._TWO_CHAR:
-                self.tokens.append((self._TWO_CHAR[text[pos:pos + 2]], pos))
-                pos += 2
-                continue
-            if ch in "+-*/^(),":
-                self.tokens.append((ch, pos))
-                pos += 1
-                continue
-            if ch.isdigit() or ch == ".":
-                start = pos
-                while pos < n and (text[pos].isdigit() or text[pos] == "."):
-                    pos += 1
-                if pos < n and text[pos] in "eE":
-                    peek = pos + 1
-                    if peek < n and text[peek] in "+-":
-                        peek += 1
-                    if peek < n and text[peek].isdigit():
-                        pos = peek
-                        while pos < n and text[pos].isdigit():
-                            pos += 1
-                try:
-                    value = float(text[start:pos])
-                except ValueError:
-                    raise ParseError(f"bad number {text[start:pos]!r}", start)
-                self.tokens.append((("num", value), start))
-                continue
-            if ch.isalpha() or ch == "_":
-                start = pos
-                while pos < n and (text[pos].isalnum() or text[pos] == "_"):
-                    pos += 1
-                self.tokens.append((("name", text[start:pos]), start))
-                continue
-            raise ParseError(f"unexpected character {ch!r}", pos)
-        self.tokens.append(("end", n))
+        self.dim = dim
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
 
     def next(self):
+        """Take the next token, and enter or leave a parenthesis level."""
         tok = self.tokens[self.i]
         self.i += 1
+        if tok[0] == "(":
+            self.depth += 1
+            if self.depth > _MAX_DEPTH:
+                raise ParseError("expression nested too deeply", tok[2])
+        elif tok[0] == ")":
+            self.depth -= 1
         return tok
 
-
-class _Parser:
-    def __init__(self, text: str, dim: int):
-        self.toks = _Tokenizer(text)
-        self.dim = dim
-
-    def parse(self) -> Expr:
-        e = self.expr()
-        tok, pos = self.toks.peek()
-        if tok != "end":
-            raise ParseError(f"unexpected token {_show(tok)}", pos)
-        return e
-
-    def expr(self) -> Expr:
-        left = self.term()
-        while True:
-            tok, _ = self.toks.peek()
-            if tok in ("+", "-"):
-                self.toks.next()
-                left = Binary(tok, left, self.term())
-            else:
-                return left
-
-    def term(self) -> Expr:
+    def expr(self, min_prec: int = 1) -> Expr:
+        """Operands joined by binary operators of binding power at least
+        ``min_prec``, each operator left associative."""
         left = self.unary()
-        while True:
-            tok, _ = self.toks.peek()
-            if tok in ("*", "/"):
-                self.toks.next()
-                left = Binary(tok, left, self.unary())
-            else:
-                return left
+        while _PREC.get(self.peek()[0], 0) >= min_prec:
+            op = self.next()[0]
+            left = Binary(op, left, self.expr(_PREC[op] + 1))
+        return left
 
     def unary(self) -> Expr:
-        tok, _ = self.toks.peek()
-        if tok == "-":
-            self.toks.next()
+        if self.peek()[0] == "-":
+            self.next()
             return Unary("-", self.unary())
-        return self.power()
-
-    def power(self) -> Expr:
         base = self.atom()
-        tok, _ = self.toks.peek()
-        if tok == "^":
-            self.toks.next()
+        if self.peek()[0] == "^":
+            self.next()
             return Binary("^", base, self.unary())  # right associative
         return base
 
     def atom(self) -> Expr:
-        tok, pos = self.toks.next()
-        if isinstance(tok, tuple) and tok[0] == "num":
-            return Num(tok[1])
-        if tok == "(":
+        kind, value, pos = self.next()
+        if kind == "num":
+            return Num(value)
+        if kind == "(":
             e = self.expr()
-            closer, cpos = self.toks.next()
+            closer, _, cpos = self.next()
             if closer != ")":
                 raise ParseError("expected ')'", cpos)
             return e
-        if isinstance(tok, tuple) and tok[0] == "name":
-            return self._name(tok[1], pos)
-        raise ParseError(f"expected a value, got {_show(tok)}", pos)
+        if kind == "name":
+            return self._name(value, pos)
+        raise ParseError(f"expected a value, got {value!r}", pos)
 
     def _name(self, name: str, pos: int) -> Expr:
-        nxt, _ = self.toks.peek()
-        if nxt == "(":
-            self.toks.next()
+        if self.peek()[0] == "(":
+            self.next()
             args = [self.expr()]
             while True:
-                tok, tpos = self.toks.next()
+                tok, _, tpos = self.next()
                 if tok == ")":
                     break
                 if tok != ",":
@@ -261,22 +246,20 @@ class _Parser:
         raise ParseError(f"unknown function {name!r}", pos)
 
 
-def _show(tok) -> str:
-    if isinstance(tok, tuple):
-        return repr(tok[1])
-    return repr(tok)
-
-
 def parse(text: str, dim: int = 1) -> Expr:
     """Parse ``text`` into an expression tree over ``dim`` coordinates."""
     if dim < 1:
         raise ConfigurationError("dim must be >= 1")
     parser = _Parser(text, dim)
     try:
-        return parser.parse()
+        e = parser.expr()
     except RecursionError:
         raise ParseError("expression nested too deeply",
-                         parser.toks.peek()[1]) from None
+                         parser.peek()[2]) from None
+    kind, value, pos = parser.peek()
+    if kind != "end":
+        raise ParseError(f"unexpected token {value!r}", pos)
+    return e
 
 
 def eval_batch(e: Expr, points: np.ndarray) -> np.ndarray:

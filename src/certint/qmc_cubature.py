@@ -65,18 +65,18 @@ process may run on (``os.sched_getaffinity``).  The pool is made for the
 run, started by the first block that may use it and joined when the run
 ends.  Its threads prepare the chunks' points (the generator, the
 periodizer and the measure map) ahead of the integrand, run the rows and
-column slabs of the Walsh transform, the chunks of the merge, and the
-magnitudes and the sort of the block sums, the sort as a partition at the
-median and a sort of each half.  The integrand stays on the calling
-thread, which gets the chunks in ascending order.  Each value comes from
-the same operations on the same operands, so the result is bit for bit
-that of a serial run.  A block may use the pool only when its chunks in
-flight, the one being evaluated and one per thread prepared ahead, each
-of 2^15 rows of d + 1 floats, come to at most a quarter of its values:
-in the units above, at most a quarter of a unit, and an eighth at a
-refining block.  The merge adds one chunk of scratch per thread, and the
-transform's scratch stays at 2^16 elements in all.  A process bound to
-one CPU, or a run whose blocks are all too small, starts no thread.
+column slabs of the Walsh transform, and sort the block sums' magnitudes,
+as a partition at the median and a sort of each half.  The integrand
+stays on the calling thread, which gets the chunks in ascending order;
+so do the merge and the taking of the magnitudes, which threads did not
+speed up.  Each value comes from the same operations on the same
+operands, so the result is bit for bit that of a serial run.  A block may
+use the pool only when its chunks in flight, the one being evaluated and
+one per thread prepared ahead, each of 2^15 rows of d + 1 floats, come to
+at most a quarter of its values: in the units above, at most a quarter of
+a unit, and an eighth at a refining block.  The transform's scratch stays
+at 2^16 elements in all.  A process bound to one CPU, or a run whose
+blocks are all too small, starts no thread.
 """
 
 from __future__ import annotations
@@ -199,16 +199,12 @@ def _block_sums(coeffs: np.ndarray, m: int, mags: np.ndarray,
     are negated, sorted ascending and negated back in one contiguous
     array: a sum over a reversed view would round differently.
 
-    A ``pool`` of several threads takes the magnitudes in slices, and
-    sorts by a partition at the boundary of the finest block, the median,
-    then a sort of each part on its own thread: the same sorted array, so
-    the same sums.
+    A ``pool`` of several threads sorts by a partition at the boundary of
+    the finest block, the median, then a sort of each part on its own
+    thread: the same sorted array, so the same sums.
     """
-    def negated_magnitudes(part: slice) -> None:
-        np.abs(coeffs[part], out=mags[part])
-        np.negative(mags[part], out=mags[part])
-
-    pool.run(negated_magnitudes, _slices(mags.size, pool.size))
+    np.abs(coeffs, out=mags)
+    np.negative(mags, out=mags)
     mags[0] = -mags[0]
     tail = mags[1:]
     if pool.size < 2:
@@ -223,11 +219,6 @@ def _block_sums(coeffs: np.ndarray, m: int, mags: np.ndarray,
     for level in range(1, m + 1):
         sums[level] = float(np.sum(mags[1 << (level - 1):1 << level]))
     return sums
-
-
-def _slices(n: int, parts: int) -> list:
-    """``parts`` contiguous slices that cover range(n)."""
-    return [slice(n * i // parts, n * (i + 1) // parts) for i in range(parts)]
 
 
 # The top observed block alone can understate the invisible aliased mass,
@@ -375,7 +366,7 @@ class _Walsh:
         upper = self.buf[n:]
         fill(m + 1, n, 1, upper, pool)
         fwht_inplace(upper, pool)
-        _merge(self.buf, False, pool)
+        _merge(self.buf, False)
 
 
 class _Fourier:
@@ -401,38 +392,33 @@ class _Fourier:
         upper = self.buf[n:]
         fill(m + 1, 1, 2, upper.real, pool)
         np.fft.fft(upper, out=upper)
-        _merge(self.buf, True, pool)
+        _merge(self.buf, True)
 
 
-def _merge(buf: np.ndarray, twiddled: bool, pool: _Pool = _SERIAL) -> None:
+def _merge(buf: np.ndarray, twiddled: bool) -> None:
     """Coefficients at level m+1, in place, by one radix-2 step.
 
     ``buf`` holds the level-m coefficients c in its lower half and the
     transform of the refining block in its upper half, ``new``.  The
     scaling by 1/n, for the Fourier merge the twiddles
     tw_k = exp(-2 pi i k / 2n), the butterfly 0.5 * (c + tw new, c - tw new)
-    and the halving run one cache-sized chunk at a time, each chunk with
-    its own twiddles and one chunk of scratch for c - tw new.  Each thread
-    of the ``pool`` takes a run of chunks, with its own scratch.
+    and the halving run one cache-sized chunk at a time, on the calling
+    thread, each chunk with its own twiddles and all with one chunk of
+    scratch for c - tw new.
     """
     n = buf.size // 2
-
-    def merge(chunks: range) -> None:
-        scratch = np.empty(min(n, _EVAL_CHUNK), dtype=buf.dtype)
-        for lo in chunks:
-            hi = min(lo + _EVAL_CHUNK, n)
-            c, new, diff = buf[lo:hi], buf[n + lo:n + hi], scratch[:hi - lo]
-            new /= n
-            if twiddled:
-                tw = np.exp(-2j * np.pi * np.arange(lo, hi) / (2 * n))
-                np.multiply(tw, new, out=new)
-            np.subtract(c, new, out=diff)
-            c += new
-            c *= 0.5
-            np.multiply(diff, 0.5, out=new)
-
-    chunks = range(0, n, _EVAL_CHUNK)
-    pool.run(merge, [chunks[part] for part in _slices(len(chunks), pool.size)])
+    scratch = np.empty(min(n, _EVAL_CHUNK), dtype=buf.dtype)
+    for lo in range(0, n, _EVAL_CHUNK):
+        hi = min(lo + _EVAL_CHUNK, n)
+        c, new, diff = buf[lo:hi], buf[n + lo:n + hi], scratch[:hi - lo]
+        new /= n
+        if twiddled:
+            tw = np.exp(-2j * np.pi * np.arange(lo, hi) / (2 * n))
+            np.multiply(tw, new, out=new)
+        np.subtract(c, new, out=diff)
+        c += new
+        c *= 0.5
+        np.multiply(diff, 0.5, out=new)
 
 
 # ---------------------------------------------------------------------------

@@ -38,11 +38,19 @@ at 1e-9).
 All three compute their error estimates from centered second differences
 and the deviation of local slopes from the secant slope; when the sampled
 data contradict the assumed cone inequality, the cone constant (``nstar``)
-is doubled before any new points are spent.  The estimates are upper
-bounds for every function inside the cone, which is what the guarantee
-tests exercise.  This is the local adaption of Choi, Ding, Hickernell &
-Tong (2017), "Local adaption for approximation and minimization of
-univariate functions".
+is doubled before any new points are spent.  This is the local adaption
+of Choi, Ding, Hickernell & Tong (2017), "Local adaption for
+approximation and minimization of univariate functions".
+
+The estimates are meant to bound the error of every function inside the
+cone, and the guarantee tests draw functions deep inside it.  For
+:func:`funappx` they do not hold at the cone's edge: its estimate takes
+``min(_CURVATURE_INFLATION * big_f, f_cone)``, a data term that the cone
+does not imply.  x^2 on [0, 1] at ``abstol`` 1e-6 plus a C^2 bump of
+height 1.12e-5 on one cell, which vanishes at every sampled abscissa and
+stays inside the cone that :func:`_cone_rows` documents, ends with exit
+flag 0 and a sup error 24.6 times ``errest``
+(``tests/test_known_misses.py``; ROADMAP item 2).
 """
 
 from __future__ import annotations

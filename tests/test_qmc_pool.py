@@ -1,9 +1,9 @@
 """The QMC engine's array work on a per-run thread pool.
 
-A run may hand its point preparation, fast Walsh transform, merge and
-block sums to a pool of threads.  Every value must come out bit for bit
-as in a serial run, the integrand must run on the caller's thread once per
-chunk in ascending order, and no thread may outlive the run.
+A run may hand its point preparation, fast Walsh transform and the sort
+of its block sums to a pool of threads.  Every value must come out bit
+for bit as in a serial run, the integrand must run on the caller's thread
+once per chunk in ascending order, and no thread may outlive the run.
 """
 
 import math
@@ -100,23 +100,6 @@ class TestBitIdentity:
             pool.close()
         assert got is v
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-    @pytest.mark.parametrize("size", [2, 3])
-    @pytest.mark.parametrize("m", [17, 19, 21])
-    @pytest.mark.parametrize("twiddled", [False, True])
-    def test_merge_matches_serial(self, size, m, twiddled):
-        rng = np.random.default_rng(m)
-        buf = rng.normal(size=2**m)
-        if twiddled:
-            buf = buf + 1j * rng.normal(size=2**m)
-        want = buf.copy()
-        qc._merge(want, twiddled)
-        pool = _Pool(size)
-        try:
-            qc._merge(buf, twiddled, pool)
-        finally:
-            pool.close()
-        assert np.array_equal(buf.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("size", [2, 3])
     @pytest.mark.parametrize("m", [17, 20, 22])
