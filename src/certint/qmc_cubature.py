@@ -66,17 +66,16 @@ run, started by the first block that may use it and joined when the run
 ends.  Its threads prepare the chunks' points (the generator, the
 periodizer and the measure map) ahead of the integrand, run the rows and
 column slabs of the Walsh transform, and sort the block sums' magnitudes,
-as a partition at the median and a sort of each half.  The integrand
-stays on the calling thread, which gets the chunks in ascending order;
-so do the merge and the taking of the magnitudes, which threads did not
-speed up.  Each value comes from the same operations on the same
-operands, so the result is bit for bit that of a serial run.  A block may
-use the pool only when its chunks in flight, the one being evaluated and
-one per thread prepared ahead, each of 2^15 rows of d + 1 floats, come to
-at most a quarter of its values: in the units above, at most a quarter of
-a unit, and an eighth at a refining block.  The transform's scratch stays
-at 2^16 elements in all.  A process bound to one CPU, or a run whose
-blocks are all too small, starts no thread.
+as a partition at the median and a sort of each half.  The integrand,
+the merge and the taking of the magnitudes stay on the calling thread,
+which gets the chunks in ascending order.  Each value comes from the same
+operations on the same operands, so the result is bit for bit that of a
+serial run.  A block may use the pool only when its chunks in flight, the
+one being evaluated and one per thread prepared ahead, each of 2^15 rows
+of d + 1 floats, come to at most a quarter of its values: in the units
+above, at most a quarter of a unit, and an eighth at a refining block.
+The transform's scratch stays at 2^16 elements in all.  A process bound
+to one CPU, or a run whose blocks are all too small, starts no thread.
 """
 
 from __future__ import annotations
